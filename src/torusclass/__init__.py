@@ -32,7 +32,7 @@ from .schur import (
     torus_coefficient,
     tuple_set_class,
 )
-from .series import TruncatedSeries, lambda_from_sigma, sigma_from_lambda
+from .series import lambda_from_sigma, sigma_from_lambda
 from .torus import (
     AlgebraSpec,
     FiberedAlgebra,
@@ -61,7 +61,6 @@ __all__ = [
     "Partition",
     "SchurElement",
     "TorusClass",
-    "TruncatedSeries",
     "char_poly_oracle",
     "class_via_lambda",
     "class_via_recursion",

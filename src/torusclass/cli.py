@@ -173,18 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda = sub.add_parser("lambda", help="alternating power of the standard set")
     p_lambda.add_argument("--n", type=int, required=True)
     p_lambda.add_argument("--i", type=int, required=True)
-    p_lambda.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    p_lambda.add_argument("--format", choices=["text", "json"], default="text")
     p_lambda.set_defaults(func=cmd_lambda)
 
     p_rho = sub.add_parser("rho", help="universal coefficient on the partition basis")
     p_rho.add_argument("--n", type=int, required=True)
     p_rho.add_argument("--i", type=int, required=True)
-    p_rho.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    p_rho.add_argument("--format", choices=["text", "json"], default="text")
     p_rho.set_defaults(func=cmd_rho)
 
     p_marks = sub.add_parser("marks", help="fixed-point matrix of the tuple sets")
     p_marks.add_argument("--n", type=int, required=True)
-    p_marks.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    p_marks.add_argument("--format", choices=["text", "json"], default="text")
     p_marks.set_defaults(func=cmd_marks)
 
     p_verify = sub.add_parser("verify", help="cross-check methods and point counts")

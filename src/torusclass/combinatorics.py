@@ -1,4 +1,5 @@
-"""Compositions, partitions, multinomial counts, and cycle-type powers.
+"""Compositions, partitions, multinomial counts, cycle-type powers and
+divisors.
 
 Enumeration order is lexicographic descending everywhere so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -90,3 +91,30 @@ def power_cycle_type(lam: Partition, e: int) -> Partition:
         g = math.gcd(c, e)
         out.extend([c // g] * g)
     return tuple(sorted(out, reverse=True))
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending.
+
+    Found by trial-division factoring, which stops once the unfactored
+    rest is 1 or a prime, so the cost is bounded by the second largest
+    prime factor of n rather than by n: for the lcm of orbit sizes up to
+    m, that is at most m steps.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{n!r} is not a positive integer")
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            power = 1
+            powers = []
+            while n % p == 0:
+                n //= p
+                power *= p
+                powers.append(power)
+            out += [d * q for d in out for q in powers]
+        p += 1
+    if n > 1:
+        out += [d * n for d in out]
+    return sorted(out)

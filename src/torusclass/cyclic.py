@@ -14,19 +14,23 @@ e (fixed points of the e-th power of the generator) is the number of
 points over the degree-e extension.  This dictionary loses no information
 because the acting group is procyclic, so marks separate elements.
 
-Lambda operations are computed concretely: the symmetric powers of an
-effective element are materialized through the g-set engine, virtual
-elements are handled by dividing the two symmetric-power series, and
-alternating powers come out of the series recursion.
+Lambda operations are computed one mark at a time.  An element whose
+orbit sizes all divide L, and each of its symmetric powers, is fixed by
+the L-th power of the generator, so it is determined by its marks at the
+divisors of L.  The d-th power of the generator splits the element into
+cycles (its base change along d), and the invariant multisets of a
+permutation are counted by an integer series, virtual elements included;
+alternating powers follow from the integer series recursion at each
+divisor.  Nothing is materialized.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from . import gsets
-from .series import TruncatedSeries, lambda_from_sigma
+from .combinatorics import divisors
+from .series import invariant_multiset_counts, lambda_from_sigma
 
 
 class CyclicBurnside:
@@ -41,9 +45,9 @@ class CyclicBurnside:
         clean: dict[int, int] = {}
         if coeffs:
             for k, c in coeffs.items():
-                if not isinstance(k, int) or k < 1:
+                if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                     raise ValueError(f"orbit size {k!r} must be a positive integer")
-                if not isinstance(c, int):
+                if isinstance(c, bool) or not isinstance(c, int):
                     raise ValueError(f"coefficient {c!r} must be an integer")
                 if c != 0:
                     clean[k] = c
@@ -72,7 +76,7 @@ class CyclicBurnside:
     def _coerce(value) -> "CyclicBurnside":
         if isinstance(value, CyclicBurnside):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return CyclicBurnside.from_int(value)
         return NotImplemented
 
@@ -132,23 +136,33 @@ class CyclicBurnside:
         return sum(k * c for k, c in self._coeffs.items() if e % k == 0)
 
     @classmethod
-    def from_marks(cls, fix: Sequence[int]) -> "CyclicBurnside":
-        """Recover an element from its marks at e = 1..len(fix).
+    def from_marks(cls, fix: Mapping[int, int]) -> "CyclicBurnside":
+        """Recover an element from its marks {d: mark(d)} at exactly the
+        divisors d of an order L, the largest key.
 
-        Inverts fix(e) = sum_{k | e} k a_k by increasing e.  Marks of any
-        element supported on orbit sizes <= len(fix) round-trip exactly; an
-        inconsistent vector shows up as a non-integral division and is
-        rejected.
+        Inverts fix(d) = sum_{k | d} k a_k over the divisors by increasing
+        d.  Marks of any element whose orbit sizes divide L round-trip
+        exactly; a missing or extra key is rejected, and so is an
+        inconsistent vector, which shows up as a non-integral division.
         """
+        if not fix:
+            raise ValueError("mark vector is empty")
+        order = max(fix)
+        divs = divisors(order)
+        if set(fix) != set(divs):
+            missing = sorted(set(divs) - set(fix))
+            extra = sorted(set(fix) - set(divs))
+            raise ValueError(
+                f"marks must be keyed by the divisors of {order}: "
+                f"missing {missing}, extra {extra}"
+            )
         coeffs: dict[int, int] = {}
-        for e in range(1, len(fix) + 1):
-            seen = sum(k * c for k, c in coeffs.items() if e % k == 0)
-            num = fix[e - 1] - seen
-            if num % e != 0:
-                raise ValueError(f"mark vector is inconsistent at exponent {e}")
-            c = num // e
-            if c:
-                coeffs[e] = c
+        for d in divs:
+            num = fix[d] - sum(k * c for k, c in coeffs.items() if d % k == 0)
+            if num % d != 0:
+                raise ValueError(f"mark vector is inconsistent at exponent {d}")
+            if num:
+                coeffs[d] = num // d
         return cls(coeffs)
 
     def induce(self, d: int) -> "CyclicBurnside":
@@ -169,27 +183,37 @@ class CyclicBurnside:
             out[kk] = out.get(kk, 0) + c * g
         return CyclicBurnside(out)
 
-    def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
-        """Symmetric powers sigma^0..sigma^truncation.
-
-        The positive and negative parts are realized as concrete
-        single-generator sets and their multiset powers counted; the two
-        resulting series are divided, which is exact because a symmetric
-        power series has constant term one.
-        """
+    def _sigma_marks(self, truncation: int) -> dict[int, list[int]]:
+        """Marks of sigma^0..sigma^truncation at each divisor d of the lcm
+        of the orbit sizes: the d-th power of the generator acts with the
+        cycles of base_change(d), whose invariant multisets are counted."""
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        pos = {k: c for k, c in self._coeffs.items() if c > 0}
-        neg = {k: -c for k, c in self._coeffs.items() if c < 0}
-        sp = TruncatedSeries(_effective_sigma(pos, truncation), CyclicBurnside.ONE)
-        if not neg:
-            return list(sp.coeffs)
-        sn = TruncatedSeries(_effective_sigma(neg, truncation), CyclicBurnside.ONE)
-        return list((sp / sn).coeffs)
+        order = math.lcm(*self._coeffs)
+        return {
+            d: invariant_multiset_counts(self.base_change(d)._coeffs, truncation)
+            for d in divisors(order)
+        }
+
+    @classmethod
+    def _from_mark_series(cls, series: Mapping[int, list[int]]) -> list["CyclicBurnside"]:
+        length = len(next(iter(series.values())))
+        return [
+            cls.from_marks({d: marks[j] for d, marks in series.items()})
+            for j in range(length)
+        ]
+
+    def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
+        """Symmetric powers sigma^0..sigma^truncation, from their marks."""
+        return self._from_mark_series(self._sigma_marks(truncation))
 
     def lambda_series(self, truncation: int) -> list["CyclicBurnside"]:
-        """Alternating powers lambda^0..lambda^truncation."""
-        return lambda_from_sigma(self.sigma_series(truncation))
+        """Alternating powers lambda^0..lambda^truncation, from their marks:
+        at each divisor the integer sigma marks are converted by the
+        series recursion."""
+        return self._from_mark_series(
+            {d: lambda_from_sigma(s) for d, s in self._sigma_marks(truncation).items()}
+        )
 
     def lambda_op(self, i: int, truncation: int | None = None) -> "CyclicBurnside":
         """The i-th alternating power, computed through degree
@@ -226,16 +250,3 @@ class CyclicBurnside:
 
 CyclicBurnside.ZERO = CyclicBurnside()
 CyclicBurnside.ONE = CyclicBurnside.orbit(1)
-
-
-def _effective_sigma(coeffs: Mapping[int, int], truncation: int) -> list[CyclicBurnside]:
-    """Symmetric powers of an effective element, by materializing the
-    disjoint union of cycles and counting multiset orbits."""
-    lengths: list[int] = []
-    for k in sorted(coeffs):
-        lengths.extend([k] * coeffs[k])
-    base = gsets.from_cycle_lengths(lengths)
-    return [
-        gsets.cyclic_decomposition(gsets.symmetric_power(base, j))
-        for j in range(truncation + 1)
-    ]

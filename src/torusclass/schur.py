@@ -25,6 +25,7 @@ element of the subring and raises ArithmeticError.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import Mapping
@@ -33,12 +34,13 @@ from .combinatorics import (
     Composition,
     Partition,
     compositions,
+    divisors,
     multinomial,
     partitions,
     power_cycle_type,
 )
 from .cyclic import CyclicBurnside
-from .series import lambda_from_sigma
+from .series import invariant_multiset_counts, lambda_from_sigma
 
 # Everything in this module materializes data indexed by partitions of n,
 # so n is capped to keep table sizes sane.
@@ -339,20 +341,6 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
     return SchurElement.from_basis(n, basis)
 
 
-def _invariant_multiset_counts(lam: Partition, truncation: int) -> list[int]:
-    """Number of k-multisets of an n-set invariant under a permutation of
-    cycle type lam, for k = 0..truncation.
-
-    An invariant multiset has constant multiplicity along each cycle, so
-    the counting series is the product of 1/(1 - x^c) over the cycles.
-    """
-    counts = [1] + [0] * truncation
-    for part in lam:
-        for k in range(part, truncation + 1):
-            counts[k] += counts[k - part]
-    return counts
-
-
 def lambda_standard(n: int, i: int) -> SchurElement:
     """The i-th alternating power of the class of the standard n-point set.
 
@@ -366,7 +354,7 @@ def lambda_standard(n: int, i: int) -> SchurElement:
     matrix = mark_matrix(n)
     marks = {}
     for lam in matrix.index:
-        sigmas = _invariant_multiset_counts(lam, i)
+        sigmas = invariant_multiset_counts(Counter(lam), i)
         marks[lam] = lambda_from_sigma(sigmas)[i]
     return SchurElement.from_marks(n, marks)
 
@@ -375,10 +363,10 @@ def restrict_to_cyclic(x: SchurElement, lam) -> CyclicBurnside:
     """Restriction along the procyclic generator acting with cycle type lam.
 
     The restricted action has orbit sizes dividing lcm(lam), which can
-    exceed n, so marks are taken at every exponent up to lcm(lam) before
+    exceed n, so marks are taken at every divisor of lcm(lam) before
     inverting.
     """
     lam = _check_partition(x.n, lam)
-    order = math.lcm(*lam)
-    fix = [x.mark(power_cycle_type(lam, e)) for e in range(1, order + 1)]
-    return CyclicBurnside.from_marks(fix)
+    return CyclicBurnside.from_marks(
+        {d: x.mark(power_cycle_type(lam, d)) for d in divisors(math.lcm(*lam))}
+    )

@@ -1,9 +1,4 @@
-"""Truncated power series over an arbitrary commutative ring.
-
-Coefficients can be any values supporting +, - and *.  The ring's
-multiplicative identity is passed in explicitly, which lets inversion
-check its precondition (unit constant term) without further assumptions;
-no coefficient division is ever performed.
+"""Integer counting series and the symmetric/alternating power conversion.
 
 The conversion between symmetric-power and alternating-power coefficient
 sequences lives here because it is pure series algebra: the two
@@ -11,88 +6,39 @@ generating series are mutually inverse up to the sign flip t -> -t, which
 collapses to the recursion
 
     sum_{i=0..k} (-1)^i lam[i] * sig[k-i] == 0    for every k >= 1.
+
+It works over any commutative ring, since it needs only +, - and *; the
+callers apply it to integer mark sequences.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
-class TruncatedSeries:
-    """A power series known through degree ``truncation``."""
+def invariant_multiset_counts(cycles: Mapping[int, int], truncation: int) -> list[int]:
+    """Number of k-multisets invariant under a permutation, for
+    k = 0..truncation, where ``cycles`` maps each cycle length to its
+    signed multiplicity.
 
-    __slots__ = ("coeffs", "one", "zero")
-
-    def __init__(self, coeffs: Sequence, one):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a truncated series needs at least its constant term")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(self, "zero", one - one)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.truncation != other.truncation:
-            raise ValueError("series truncations differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.one
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.one
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        n = self.truncation
-        out = []
-        for k in range(n + 1):
-            acc = self.zero
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return TruncatedSeries(out, self.one)
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse to the same truncation.
-
-        Requires constant term equal to the ring's one; the recursion
-        u[k] = -sum_{i=1..k} s[i] u[k-i] then needs no division.
-        """
-        if not self.coeffs[0] == self.one:
-            raise ValueError("constant term is not the ring identity; cannot invert")
-        n = self.truncation
-        out = [self.one]
-        for k in range(1, n + 1):
-            acc = self.zero
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(self.zero - acc)
-        return TruncatedSeries(out, self.one)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return self * other.invert()
+    An invariant multiset has constant multiplicity along each cycle, so
+    the counting series is the product of (1 - x^c)^(-m) over cycle
+    lengths c of multiplicity m.  A negative m contributes the polynomial
+    (1 - x^c)^|m|, which is the symmetric-power series of a virtual set:
+    no series division is needed.
+    """
+    counts = [1] + [0] * truncation
+    for length, mult in cycles.items():
+        # coefficients of (1 - y)^(-mult) in y = x^length: the rising
+        # factorial mult (mult + 1) ... (mult + i - 1) over i!
+        factor = [1]
+        for i in range(1, truncation // length + 1):
+            factor.append(factor[-1] * (mult + i - 1) // i)
+        for k in range(truncation, 0, -1):
+            counts[k] += sum(
+                factor[i] * counts[k - i * length] for i in range(1, k // length + 1)
+            )
+    return counts
 
 
 def lambda_from_sigma(sigmas: Sequence) -> list:

@@ -15,8 +15,8 @@ extensions, modelled by CyclicBurnside elements via [k] = [Spec F_{q^k}].
 Three independent computations of this polynomial are provided:
 
 * class_via_lambda: a_i = (-1)^i lambda^i of the class of Spec L, with
-  the alternating powers computed by symmetric-power series division in
-  the procyclic Burnside ring;
+  the alternating powers computed mark by mark in the procyclic Burnside
+  ring, at the divisors of the lcm of the factor degrees;
 * class_via_universal: a_i is the restriction, along the Frobenius cycle
   type, of a universal element of the symmetric-group Burnside subring
   built from an alternating sum over compositions of i;
@@ -53,7 +53,7 @@ class AlgebraSpec:
 
     def __init__(self, parts: Sequence[int]):
         parts = tuple(sorted(parts, reverse=True))
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError("factor degrees must be positive integers")
         object.__setattr__(self, "parts", parts)
 

@@ -141,8 +141,7 @@ def test_acceptance_6_ring_oracles():
         z = CyclicBurnside({k: rng.randint(-3, 3) for k in range(1, 7)})
         for d in range(1, 5):
             ok = ok and (x.base_change(d) * z).induce(d) == x * z.induce(d)
-    # symmetric/alternating series round trip on virtual elements; small
-    # orbit sizes keep the concrete symmetric-power models enumerable
+    # symmetric/alternating series round trip on virtual elements
     cases = [CyclicBurnside({6: 1, 4: -1, 3: 1, 1: -1})]
     cases += [
         CyclicBurnside({k: rng.randint(-1, 1) for k in range(1, 5)})

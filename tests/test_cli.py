@@ -116,6 +116,19 @@ def test_bound_violation_exits_2(capsys):
     assert "error:" in err
 
 
+def test_class_of_degree_14_field(capsys):
+    code, out, _ = _run(capsys, ["class", "--partition", "14"])
+    assert code == 0
+    assert out.startswith("L^14 - [Spec F_q^14]·L^13")
+
+
+@pytest.mark.parametrize("command", [["lambda", "--i", "1"], ["rho", "--i", "1"], ["marks"]])
+def test_latex_format_rejected_where_unsupported(command):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--n", "3", "--format", "latex"])
+    assert excinfo.value.code == 2
+
+
 def test_bad_verify_grid_exits_2(capsys):
     code, _, err = _run(capsys, ["verify", "--partition", "2", "--qmax", "1"])
     assert code == 2

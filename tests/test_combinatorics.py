@@ -4,6 +4,7 @@ import pytest
 
 from torusclass.combinatorics import (
     compositions,
+    divisors,
     multinomial,
     partitions,
     power_cycle_type,
@@ -138,3 +139,12 @@ def test_power_cycle_type_bad_input():
         power_cycle_type((2,), 0)
     with pytest.raises(ValueError):
         power_cycle_type((0,), 1)
+
+
+def test_divisors_match_a_scan():
+    for n in range(1, 400):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert len(divisors(30030)) == 64
+    for bad in (0, -4, True, 2.0):
+        with pytest.raises(ValueError):
+            divisors(bad)

@@ -4,13 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torusclass.combinatorics import divisors, partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.gsets import (
     FiniteGSet,
     cyclic_decomposition,
     from_cycle_lengths,
     product,
+    symmetric_power,
 )
 from torusclass.series import sigma_from_lambda
 
@@ -19,6 +23,12 @@ def _random_element(rng, max_orbit=8, span=3):
     return CyclicBurnside(
         {k: rng.randint(-span, span) for k in range(1, max_orbit + 1)}
     )
+
+
+# random virtual elements: signed coefficients on orbit sizes up to 6
+virtual_elements = st.dictionaries(
+    st.integers(1, 6), st.integers(-2, 2), max_size=4
+).map(CyclicBurnside)
 
 
 def test_multiplication_examples():
@@ -66,19 +76,35 @@ def test_marks_are_ring_homomorphisms():
             assert (x * y).mark(e) == x.mark(e) * y.mark(e)
 
 
+def _marks_at_divisors(x, order):
+    return {d: x.mark(d) for d in divisors(order)}
+
+
 def test_from_marks_examples():
-    assert CyclicBurnside.from_marks((0, 2, 0, 2)) == CyclicBurnside.orbit(2)
-    assert CyclicBurnside.from_marks((3, 3, 3)) == CyclicBurnside({1: 3})
+    assert CyclicBurnside.from_marks({1: 0, 2: 2, 4: 2}) == CyclicBurnside.orbit(2)
+    assert CyclicBurnside.from_marks({1: 3, 3: 3}) == CyclicBurnside({1: 3})
+    assert CyclicBurnside.from_marks({1: 0}) == CyclicBurnside.ZERO
+    # non-integral coefficient at 2
     with pytest.raises(ValueError):
-        CyclicBurnside.from_marks((0, 1))
+        CyclicBurnside.from_marks({1: 0, 2: 1})
+    # missing divisor 2 of 4
+    with pytest.raises(ValueError):
+        CyclicBurnside.from_marks({1: 0, 4: 4})
+    # 3 does not divide the order 4
+    with pytest.raises(ValueError):
+        CyclicBurnside.from_marks({1: 0, 2: 2, 3: 0, 4: 2})
+    with pytest.raises(ValueError):
+        CyclicBurnside.from_marks({})
 
 
 def test_from_marks_inverts_marks():
     rng = random.Random(17)
     for _ in range(30):
         x = _random_element(rng)
-        marks = [x.mark(e) for e in range(1, 9)]
-        assert CyclicBurnside.from_marks(marks) == x
+        order = math.lcm(*x.coeffs)
+        assert CyclicBurnside.from_marks(_marks_at_divisors(x, order)) == x
+        # any multiple of the order works as well
+        assert CyclicBurnside.from_marks(_marks_at_divisors(x, 2 * order)) == x
 
 
 def test_induce_examples():
@@ -156,26 +182,50 @@ def test_lambda_examples():
         two.lambda_op(3, truncation=2)
 
 
-def test_lambda_series_is_multiplicative_in_the_element():
+def test_sigma_series_matches_materialized_symmetric_powers():
+    # the g-set engine is the oracle for the mark computation: every
+    # effective element of total size <= 8 with orbit sizes <= 6
+    for size in range(1, 9):
+        for lengths in partitions(size):
+            if lengths[0] > 6:
+                continue
+            x = CyclicBurnside.ZERO
+            for k in lengths:
+                x = x + CyclicBurnside.orbit(k)
+            base = from_cycle_lengths(lengths)
+            expected = [
+                cyclic_decomposition(symmetric_power(base, j)) for j in range(7)
+            ]
+            assert x.sigma_series(6) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(virtual_elements, virtual_elements)
+def test_lambda_series_is_multiplicative_in_the_element(x, y):
     # lambda_t(x + y) = lambda_t(x) lambda_t(y), coefficientwise
-    rng = random.Random(31)
-    for _ in range(10):
-        x = _random_element(rng, max_orbit=4, span=2)
-        y = _random_element(rng, max_orbit=4, span=2)
-        n = 6
-        lx = x.lambda_series(n)
-        ly = y.lambda_series(n)
-        lxy = (x + y).lambda_series(n)
-        for k in range(n + 1):
-            conv = CyclicBurnside.ZERO
-            for i in range(k + 1):
-                conv = conv + lx[i] * ly[k - i]
-            assert conv == lxy[k]
+    n = 6
+    lx = x.lambda_series(n)
+    ly = y.lambda_series(n)
+    lxy = (x + y).lambda_series(n)
+    for k in range(n + 1):
+        conv = CyclicBurnside.ZERO
+        for i in range(k + 1):
+            conv = conv + lx[i] * ly[k - i]
+        assert conv == lxy[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(virtual_elements, st.integers(1, 12))
+def test_lambda_series_commutes_with_base_change(x, d):
+    # restriction to an index-d subgroup is a lambda-ring map; it changes
+    # the lcm of the orbit sizes, and so the divisors the marks live on
+    n = 6
+    assert x.base_change(d).lambda_series(n) == [
+        c.base_change(d) for c in x.lambda_series(n)
+    ]
 
 
 def test_sigma_lambda_roundtrip_on_virtual_elements():
-    # orbit sizes are kept small: sigma powers are materialized concretely,
-    # and an element of total size s realizes C(s+7, 8) multisets at degree 8
     rng = random.Random(37)
     cases = [
         CyclicBurnside({6: 1, 4: -1, 3: 1, 1: -1}),
@@ -205,3 +255,8 @@ def test_invalid_coefficients_rejected():
         CyclicBurnside({0: 1})
     with pytest.raises(ValueError):
         CyclicBurnside({-2: 1})
+    with pytest.raises(ValueError):
+        CyclicBurnside({True: 1})
+    with pytest.raises(ValueError):
+        CyclicBurnside({2: True})
+    assert CyclicBurnside.ONE != True  # noqa: E712

@@ -1,4 +1,4 @@
-"""Series arithmetic and the symmetric/alternating conversion."""
+"""Invariant multiset counts and the symmetric/alternating conversion."""
 
 import math
 import random
@@ -6,45 +6,31 @@ import random
 import pytest
 
 from torusclass.cyclic import CyclicBurnside
-from torusclass.series import TruncatedSeries, lambda_from_sigma, sigma_from_lambda
+from torusclass.series import (
+    invariant_multiset_counts,
+    lambda_from_sigma,
+    sigma_from_lambda,
+)
 
 
-def test_geometric_series():
-    s = TruncatedSeries((1, -1, 0, 0, 0), 1)
-    assert s.invert().coeffs == (1, 1, 1, 1, 1)
+def test_invariant_multiset_counts_examples():
+    # a 2-cycle and a fixed point: 1/((1 - x)(1 - x^2))
+    assert invariant_multiset_counts({2: 1, 1: 1}, 5) == [1, 1, 2, 2, 3, 3]
+    # three fixed points: C(k + 2, 2)
+    assert invariant_multiset_counts({1: 3}, 4) == [1, 3, 6, 10, 15]
+    # minus two 3-cycles: the polynomial (1 - x^3)^2
+    assert invariant_multiset_counts({3: -2}, 7) == [1, 0, 0, -2, 0, 0, 1, 0]
 
 
-def test_invert_is_an_involution():
-    rng = random.Random(11)
+def test_invariant_multiset_counts_of_opposite_sets_are_inverse():
+    rng = random.Random(13)
     for _ in range(25):
-        coeffs = [1] + [rng.randint(-5, 5) for _ in range(6)]
-        s = TruncatedSeries(coeffs, 1)
-        assert s.invert().invert() == s
-        assert (s * s.invert()).coeffs == (1, 0, 0, 0, 0, 0, 0)
-
-
-def test_invert_requires_ring_identity_constant():
-    with pytest.raises(ValueError):
-        TruncatedSeries((2, 1), 1).invert()
-    with pytest.raises(ValueError):
-        TruncatedSeries((CyclicBurnside.orbit(2), CyclicBurnside.ONE), CyclicBurnside.ONE).invert()
-
-
-def test_mismatched_truncations_rejected():
-    a = TruncatedSeries((1, 2), 1)
-    b = TruncatedSeries((1, 2, 3), 1)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-
-
-def test_divide_inverts_multiplication():
-    rng = random.Random(7)
-    for _ in range(20):
-        a = TruncatedSeries([rng.randint(-4, 4) for _ in range(6)], 1)
-        b = TruncatedSeries([1] + [rng.randint(-4, 4) for _ in range(5)], 1)
-        assert (a / b) * b == a
+        cycles = {rng.randint(1, 5): rng.randint(1, 4) for _ in range(3)}
+        opposite = {c: -m for c, m in cycles.items()}
+        a = invariant_multiset_counts(cycles, 8)
+        b = invariant_multiset_counts(opposite, 8)
+        product = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(9)]
+        assert product == [1] + [0] * 8
 
 
 def test_lambda_of_a_single_point():
@@ -75,8 +61,15 @@ def test_lambda_from_sigma_of_order_two_orbit():
 
 
 def test_divide_drops_a_trivial_point():
-    # the symmetric series of x + 1 divided by that of 1 gives the series of x
+    # sigma_t is additive-to-multiplicative, so the symmetric series of
+    # x + 1 is that of x convolved with that of a point, and dividing by
+    # the latter drops the point
     x = CyclicBurnside.orbit(3)
-    with_point = TruncatedSeries((x + 1).sigma_series(4), CyclicBurnside.ONE)
-    point = TruncatedSeries(CyclicBurnside.ONE.sigma_series(4), CyclicBurnside.ONE)
-    assert list((with_point / point).coeffs) == x.sigma_series(4)
+    with_point = (x + 1).sigma_series(4)
+    sx = x.sigma_series(4)
+    point = CyclicBurnside.ONE.sigma_series(4)
+    for k in range(5):
+        conv = CyclicBurnside.ZERO
+        for i in range(k + 1):
+            conv = conv + sx[i] * point[k - i]
+        assert conv == with_point[k]

@@ -45,6 +45,8 @@ def test_algebra_spec_normalization():
         AlgebraSpec((0,))
     with pytest.raises(ValueError):
         AlgebraSpec.parse("2,x")
+    with pytest.raises(ValueError):
+        AlgebraSpec([True, 2])
 
 
 def test_benchmark_classes_by_every_route():
@@ -171,6 +173,20 @@ def test_norm_one_point_counts_divide_exactly():
                     units = point_count_oracle(spec, q, e)
                     assert units % (q**e - 1) == 0
                     assert tc.count_points(q, e) == units // (q**e - 1)
+
+
+def test_lambda_and_norm_one_routes_at_large_n():
+    # beyond the materializing range: one field of degree 14 or 20, the
+    # split algebra of dimension 30, and lcm 30030 over six fields
+    l_minus_1 = _tc(1, {1: 1}, {1: -1})
+    for parts in [(14,), (20,), (1,) * 30, (13, 11, 7, 5, 3, 2)]:
+        spec = AlgebraSpec(parts)
+        tc = class_via_lambda(spec)
+        assert tc.char_poly() == char_poly_oracle(spec)
+        for q in range(2, 6):
+            for e in range(1, 4):
+                assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
+        assert l_minus_1 * norm_one_class(spec) == tc
 
 
 def test_char_poly_examples():
