@@ -35,7 +35,6 @@ from .schur import (
 from .series import lambda_from_sigma, sigma_from_lambda
 from .torus import (
     AlgebraSpec,
-    FiberedAlgebra,
     TorusClass,
     char_poly_oracle,
     class_via_lambda,
@@ -45,8 +44,6 @@ from .torus import (
     point_count_oracle,
     recursion_stratum_base,
     spec_class,
-    stratum,
-    units_class,
 )
 
 __version__ = "0.1.0"
@@ -55,7 +52,6 @@ __all__ = [
     "AlgebraSpec",
     "Composition",
     "CyclicBurnside",
-    "FiberedAlgebra",
     "FiniteGSet",
     "MarkMatrix",
     "Partition",
@@ -83,9 +79,7 @@ __all__ = [
     "restrict_to_cyclic",
     "sigma_from_lambda",
     "spec_class",
-    "stratum",
     "symmetric_power",
     "torus_coefficient",
     "tuple_set_class",
-    "units_class",
 ]

@@ -8,6 +8,9 @@ rho     the universal weight-i coefficient on the partition basis
 marks   the fixed-point matrix of the degree-n tuple sets
 verify  cross-check all computation routes and the point-count oracle
 
+With every route (`class --method all`, `verify`), the rho route is
+skipped above its degree bound and the other two must agree.
+
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
 """
@@ -18,7 +21,8 @@ import argparse
 import json
 import sys
 
-from .schur import lambda_standard, mark_matrix, torus_coefficient
+from .combinatorics import is_prime_power
+from .schur import DEGREE_BOUND, lambda_standard, mark_matrix, torus_coefficient
 from .torus import (
     AlgebraSpec,
     TorusClass,
@@ -47,18 +51,34 @@ def _partition_key(lam) -> str:
     return ",".join(map(str, lam))
 
 
+def _all_routes(spec: AlgebraSpec) -> dict[str, TorusClass | None]:
+    """Every route's class of spec, or None for a route skipped because
+    spec is outside its domain.  At least two routes must answer."""
+    results = {
+        name: None if name == "rho" and spec.n > DEGREE_BOUND else fn(spec)
+        for name, fn in _METHODS.items()
+    }
+    if sum(tc is not None for tc in results.values()) < 2:
+        raise ValueError(f"fewer than two routes can answer for partition ({spec})")
+    return results
+
+
+def _skipped_line(name: str) -> str:
+    return f"{name}: skipped (n > {DEGREE_BOUND})"
+
+
 def cmd_class(args) -> int:
     spec = AlgebraSpec.parse(args.partition)
     if args.method != "all":
         tc = _METHODS[args.method](spec)
         print(_render_class(tc, args.format))
         return 0
-    results = {name: fn(spec) for name, fn in _METHODS.items()}
+    results = _all_routes(spec)
     reference = results["lambda"]
-    agree = all(tc == reference for tc in results.values())
+    agree = all(tc in (None, reference) for tc in results.values())
     if args.format == "text":
-        for name in ("lambda", "rho", "recursion"):
-            print(f"{name + ':':<11}{results[name].text()}")
+        for name, tc in results.items():
+            print(_skipped_line(name) if tc is None else f"{name + ':':<11}{tc.text()}")
         print("AGREE" if agree else "DISAGREE")
     else:
         print(_render_class(reference, args.format))
@@ -133,16 +153,19 @@ def cmd_verify(args) -> int:
         raise ValueError("--qmax must be at least 2")
     if args.emax < 1:
         raise ValueError("--emax must be at least 1")
-    results = {name: fn(spec) for name, fn in _METHODS.items()}
+    results = _all_routes(spec)
     reference = results["lambda"]
     failures = 0
     for name, tc in results.items():
-        if tc != reference:
+        if tc is None:
+            print(_skipped_line(name))
+        elif tc != reference:
             print(f"method {name} disagrees with lambda: {tc.text()} vs {reference.text()}")
             failures += 1
     if not failures:
         print(f"methods agree on partition ({spec}): {reference.text()}")
-    for q in range(2, args.qmax + 1):
+    # only prime powers are sizes of finite fields
+    for q in filter(is_prime_power, range(2, args.qmax + 1)):
         for e in range(1, args.emax + 1):
             got = reference.count_points(q, e)
             expected = point_count_oracle(spec, q, e)

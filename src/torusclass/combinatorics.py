@@ -1,5 +1,5 @@
-"""Compositions, partitions, multinomial counts, cycle-type powers and
-divisors.
+"""Compositions, partitions, multinomial counts, cycle-type powers,
+divisors and prime powers.
 
 Enumeration order is lexicographic descending everywhere so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -118,3 +118,17 @@ def divisors(n: int) -> list[int]:
     if n > 1:
         out += [d * n for d in out]
     return sorted(out)
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and k >= 1: the sizes of finite fields."""
+    if q < 2:
+        return False
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+        p += 1
+    return True

@@ -169,7 +169,7 @@ class SchurElement:
         clean = {}
         for mu, c in basis.items():
             mu = _check_partition(n, mu)
-            if not isinstance(c, int):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"coefficient {c!r} must be an integer")
             if c != 0:
                 clean[mu] = c
@@ -216,7 +216,7 @@ class SchurElement:
             if other.n != self.n:
                 raise ValueError("degree mismatch")
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return SchurElement.from_basis(self.n, {(self.n,): other})
         return NotImplemented
 
@@ -257,7 +257,7 @@ class SchurElement:
         return self + (-other)
 
     def __mul__(self, other) -> "SchurElement":
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             basis = {mu: other * c for mu, c in self._basis.items() if other * c != 0}
             marks = {lam: other * v for lam, v in self._marks.items()}
             return SchurElement(self.n, basis, marks)
@@ -313,8 +313,8 @@ def tuple_set_class(n: int, alpha: Composition) -> SchurElement:
     alpha padded with n - sum(alpha) and sorted descending.
     """
     alpha = tuple(alpha)
-    if any(p < 1 for p in alpha):
-        raise ValueError("tuple sizes must be positive")
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in alpha):
+        raise ValueError("tuple sizes must be positive integers")
     weight = sum(alpha)
     if weight > n:
         raise ValueError(f"tuple sizes sum to {weight}, exceeding n={n}")

@@ -22,8 +22,9 @@ Three independent computations of this polynomial are provided:
   built from an alternating sum over compositions of i;
 * class_via_recursion: a direct stratification of affine n-space over
   the base, peeling off loci by the size of their vanishing set within
-  each fiber, implemented on concrete finite sets with memoization on
-  the isomorphism type of each fibered piece.
+  each fiber, computed on isomorphism types of fibered pieces: each
+  stratum's component types are read off one fiber (_stratum_types),
+  and the unit class is memoized per type.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .combinatorics import Composition, Partition
 from .cyclic import CyclicBurnside
-from .gsets import FiniteGSet, cycle_type, from_cycle_lengths, perm_of_cycle_type
+from .gsets import cycle_type, perm_of_cycle_type
 from .schur import restrict_to_cyclic, torus_coefficient
 
 
@@ -302,145 +303,53 @@ def char_poly_oracle(spec: AlgebraSpec) -> tuple[int, ...]:
     return tuple(poly)
 
 
-class FiberedAlgebra:
-    """An equivariant map of single-generator finite sets with fibers of
-    uniform size: the combinatorial shadow of a rank-r algebra over a
-    separable base."""
+@cache
+def _stratum_types(tau: Partition, i: int) -> tuple[tuple[tuple[int, Partition], int], ...]:
+    """Component types of stratum i of a fibered piece whose return map
+    sigma has cycle type tau, as ((m, tau'), count) pairs.
 
-    __slots__ = ("total", "base", "proj", "fiber_size")
-
-    def __init__(self, total: FiniteGSet, base: FiniteGSet, proj: Sequence[int]):
-        if len(total.generators) != 1 or len(base.generators) != 1:
-            raise ValueError("fibered algebra needs single-generator sets")
-        proj = tuple(proj)
-        if len(proj) != total.size:
-            raise ValueError("projection length must match total size")
-        if any(not 0 <= t < base.size for t in proj):
-            raise ValueError("projection image out of range")
-        counts = [0] * base.size
-        for t in proj:
-            counts[t] += 1
-        if base.size == 0:
-            fiber_size = 0
-        else:
-            fiber_size = counts[0]
-            if any(c != fiber_size for c in counts):
-                raise ValueError("fibers are not of uniform size")
-        gt, gb = total.generators[0], base.generators[0]
-        if any(gb[proj[x]] != proj[gt[x]] for x in range(total.size)):
-            raise ValueError("projection is not equivariant")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "fiber_size", fiber_size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberedAlgebra is immutable")
-
-    def fibers(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.base.size)]
-        for x, t in enumerate(self.proj):
-            out[t].append(x)
-        return out
-
-    def components(self) -> list[tuple[int, Partition]]:
-        """Isomorphism data per base orbit: the orbit size b and the cycle
-        type of the return map (the b-th power of the generator) on the
-        fiber over the orbit's least element.  This is a complete
-        isomorphism invariant of the fibered piece over that orbit."""
-        gt = self.total.generators[0]
-        gb = self.base.generators[0]
-        fibers = self.fibers()
-        seen = [False] * self.base.size
-        out = []
-        for start in range(self.base.size):
-            if seen[start]:
-                continue
-            b = 0
-            t = start
-            while not seen[t]:
-                seen[t] = True
-                t = gb[t]
-                b += 1
-            fiber = fibers[start]
-            position = {x: j for j, x in enumerate(fiber)}
-            perm = []
-            for x in fiber:
-                y = x
-                for _ in range(b):
-                    y = gt[y]
-                perm.append(position[y])
-            out.append((b, cycle_type(perm)))
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"FiberedAlgebra(total={self.total.size}, base={self.base.size}, "
-            f"fiber_size={self.fiber_size})"
-        )
-
-
-def stratum(fa: FiberedAlgebra, i: int) -> FiberedAlgebra:
-    """The rank-(r - i) fibered algebra over the locus where the vanishing
-    set has size i: base elements are pairs (base point, i-subset of its
-    fiber), total elements add a marked fiber point outside the subset."""
-    r = fa.fiber_size
-    if not 1 <= i <= r:
-        raise ValueError(f"stratum index {i} out of range 1..{r}")
-    gt = fa.total.generators[0]
-    gb = fa.base.generators[0]
-    fibers = fa.fibers()
-    base_elems: list[tuple[int, tuple[int, ...]]] = []
-    for t in range(fa.base.size):
-        for subset in combinations(fibers[t], i):
-            base_elems.append((t, subset))
-    base_index = {e: j for j, e in enumerate(base_elems)}
-    base_perm = [
-        base_index[(gb[t], tuple(sorted(gt[x] for x in subset)))]
-        for t, subset in base_elems
-    ]
-    total_elems: list[tuple[int, tuple[int, ...], int]] = []
-    proj: list[int] = []
-    for j, (t, subset) in enumerate(base_elems):
-        inside = set(subset)
-        for s in fibers[t]:
-            if s not in inside:
-                total_elems.append((t, subset, s))
-                proj.append(j)
-    total_index = {e: j for j, e in enumerate(total_elems)}
-    total_perm = [
-        total_index[(gb[t], tuple(sorted(gt[x] for x in subset)), gt[s])]
-        for t, subset, s in total_elems
-    ]
-    return FiberedAlgebra(
-        FiniteGSet(len(total_elems), (tuple(total_perm),), tuple(total_elems)),
-        FiniteGSet(len(base_elems), (tuple(base_perm),), tuple(base_elems)),
-        proj,
-    )
-
-
-def _transitive_model(b: int, tau: Partition) -> FiberedAlgebra:
-    """The fibered algebra over a single b-orbit whose return map has
-    cycle type tau, realized concretely."""
+    The stratum's base points over a base point are the i-subsets S of its
+    fiber, so its base orbits over a b-orbit are the sigma-orbits of
+    i-subsets, scaled by b.  An orbit of length m gives one component of
+    type (b m, tau'), where tau' is the cycle type of sigma^m, the new
+    return map, on the complement of S.  Only one fiber of r = sum(tau)
+    points is looked at, and each i-subset once.
+    """
     r = sum(tau)
-    fiber_perm = perm_of_cycle_type(tau) if r else ()
-    total_perm = []
-    for j in range(b):
-        for x in range(r):
-            if j + 1 < b:
-                total_perm.append((j + 1) * r + x)
-            else:
-                total_perm.append(fiber_perm[x])
-    total = FiniteGSet(b * r, (tuple(total_perm),), tuple((j, x) for j in range(b) for x in range(r)))
-    base = from_cycle_lengths((b,))
-    proj = tuple(j for j in range(b) for _ in range(r))
-    return FiberedAlgebra(total, base, proj)
+    sigma = perm_of_cycle_type(tau)
+    counts: dict[tuple[int, Partition], int] = {}
+    pending: set[tuple[int, ...]] = set()
+    for subset in combinations(range(r), i):
+        # subsets come in lexicographic order, so each orbit is first met
+        # at its least member and every later member is met exactly once
+        if subset in pending:
+            pending.remove(subset)
+            continue
+        m = 1
+        image = tuple(sorted(sigma[x] for x in subset))
+        while image != subset:
+            pending.add(image)
+            image = tuple(sorted(sigma[x] for x in image))
+            m += 1
+        inside = set(subset)
+        rest = [x for x in range(r) if x not in inside]
+        position = {x: j for j, x in enumerate(rest)}
+        power = []
+        for x in rest:
+            y = x
+            for _ in range(m):
+                y = sigma[y]
+            power.append(position[y])
+        key = (m, cycle_type(power))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items(), reverse=True))
 
 
 @cache
 def _units_of_type(b: int, tau: Partition) -> tuple[CyclicBurnside, ...]:
-    """Class of the unit scheme of a fibered algebra of isomorphism type
-    (b, tau), as Lefschetz-polynomial coefficients by ascending power.
+    """Class of the unit scheme of a fibered piece of isomorphism type
+    (b, tau): a rank-r algebra over a b-orbit whose return map on a fiber
+    has cycle type tau.  Coefficients by ascending Lefschetz power.
 
     Affine r-space over the base splits into the units, the strata with
     vanishing set of size 1..r-1, and the zero section:
@@ -450,42 +359,26 @@ def _units_of_type(b: int, tau: Partition) -> tuple[CyclicBurnside, ...]:
     Rank 0 is the zero algebra, whose unit scheme is the base itself.
     """
     r = sum(tau)
-    base_class = CyclicBurnside.orbit(b)
     if r == 0:
-        return (base_class,)
-    poly = [CyclicBurnside.ZERO] * (r + 1)
-    poly[r] = base_class
-    poly[0] = -base_class
-    if r >= 2:
-        model = _transitive_model(b, tau)
-        for i in range(1, r):
-            for j, c in enumerate(units_class(stratum(model, i))):
-                poly[j] = poly[j] - c
-    return tuple(poly)
-
-
-def units_class(fa: FiberedAlgebra) -> list[CyclicBurnside]:
-    """Unit-scheme class of a fibered algebra, by ascending Lefschetz
-    power; splits over base orbits and is memoized on their isomorphism
-    types."""
-    poly = [CyclicBurnside.ZERO] * (fa.fiber_size + 1)
-    for b, tau in fa.components():
-        for j, c in enumerate(_units_of_type(b, tau)):
-            poly[j] = poly[j] + c
-    return poly
-
-
-def _initial_algebra(spec: AlgebraSpec) -> FiberedAlgebra:
-    total = from_cycle_lengths(spec.parts)
-    base = FiniteGSet(1, ((0,),))
-    return FiberedAlgebra(total, base, (0,) * spec.n)
+        return (CyclicBurnside.orbit(b),)
+    # orbit-size -> multiplicity per Lefschetz power
+    poly: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    poly[r][b] = 1
+    poly[0][b] = -1
+    for i in range(1, r):
+        for (m, rest), count in _stratum_types(tau, i):
+            for j, c in enumerate(_units_of_type(b * m, rest)):
+                for k, v in c.coeffs.items():
+                    poly[j][k] = poly[j].get(k, 0) - count * v
+    return tuple(CyclicBurnside(p) for p in poly)
 
 
 def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     """Stratification route: peel affine n-space over the point down to
-    the units, recursing into each stratum."""
+    the units, recursing into each stratum.  Over the point, the return
+    map on the single fiber is Frobenius, of cycle type spec.parts."""
     n = spec.n
-    poly = units_class(_initial_algebra(spec))
+    poly = _units_of_type(1, spec.parts)
     return TorusClass(n, tuple(poly[n - i] for i in range(n + 1)))
 
 
@@ -494,9 +387,19 @@ def recursion_stratum_base(spec: AlgebraSpec, alpha: Composition) -> CyclicBurns
     algebra by peeling vanishing sets of sizes alpha, in order.  Used to
     cross-check the recursion's intermediate bases against the restricted
     tuple-set classes."""
-    fa = _initial_algebra(spec)
+    pieces: dict[tuple[int, Partition], int] = {(1, spec.parts): 1}
+    r = spec.n
     for i in alpha:
-        fa = stratum(fa, i)
-    from .gsets import cyclic_decomposition
-
-    return cyclic_decomposition(fa.base)
+        if not 1 <= i <= r:
+            raise ValueError(f"stratum index {i} out of range 1..{r}")
+        peeled: dict[tuple[int, Partition], int] = {}
+        for (b, tau), c in pieces.items():
+            for (m, rest), count in _stratum_types(tau, i):
+                key = (b * m, rest)
+                peeled[key] = peeled.get(key, 0) + c * count
+        pieces = peeled
+        r -= i
+    base: dict[int, int] = {}
+    for (b, _), c in pieces.items():
+        base[b] = base.get(b, 0) + c
+    return CyclicBurnside(base)

@@ -92,6 +92,27 @@ def test_verify_split_line_counts(capsys):
     assert "PASS" in out
 
 
+def test_verify_counts_points_only_over_fields(capsys):
+    code, out, _ = _run(capsys, ["verify", "--partition", "2", "--qmax", "6", "--emax", "1"])
+    assert code == 0
+    assert "q=5 e=1 count=24 oracle=24 ok" in out
+    assert "q=6" not in out
+
+
+def test_all_routes_skip_rho_past_its_degree_bound(capsys):
+    code, out, _ = _run(capsys, ["class", "--partition", "11", "--method", "all"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "rho: skipped (n > 10)" in lines
+    assert lines[0].startswith("lambda:    L^11 - [Spec F_q^11]·L^10")
+    assert lines[2] == "recursion: " + lines[0][len("lambda:    "):]
+    assert lines[-1] == "AGREE"
+    code, out, _ = _run(capsys, ["verify", "--partition", "11", "--qmax", "3", "--emax", "1"])
+    assert code == 0
+    assert "rho: skipped (n > 10)" in out
+    assert "PASS" in out
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["class"])

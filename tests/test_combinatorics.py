@@ -5,6 +5,7 @@ import pytest
 from torusclass.combinatorics import (
     compositions,
     divisors,
+    is_prime_power,
     multinomial,
     partitions,
     power_cycle_type,
@@ -148,3 +149,13 @@ def test_divisors_match_a_scan():
     for bad in (0, -4, True, 2.0):
         with pytest.raises(ValueError):
             divisors(bad)
+
+
+def test_prime_powers_match_a_scan():
+    def brute(q):
+        primes = [p for p in range(2, q + 1) if all(p % d for d in range(2, p))]
+        return any(p**k == q for p in primes for k in range(1, q.bit_length() + 1))
+
+    for q in range(-2, 300):
+        assert is_prime_power(q) == brute(q), q
+    assert [q for q in range(2, 10) if is_prime_power(q)] == [2, 3, 4, 5, 7, 8, 9]

@@ -77,6 +77,21 @@ def test_tuple_set_class_padding_and_sorting():
         tuple_set_class(3, (2, 2))
 
 
+def test_bool_rejected_as_an_integer():
+    # bool is an int subclass; it must not pass as a coefficient or size
+    unit = SchurElement.unit(3)
+    with pytest.raises(TypeError):
+        unit + True
+    with pytest.raises(TypeError):
+        unit * True
+    assert unit != True  # noqa: E712
+    with pytest.raises(ValueError):
+        SchurElement.from_basis(3, {(3,): True})
+    with pytest.raises(ValueError):
+        tuple_set_class(3, (True, 2))
+    assert unit + 1 == 2 * unit
+
+
 def test_tuple_set_class_cardinalities():
     for n in range(1, 7):
         for w in range(1, n + 1):

@@ -1,15 +1,21 @@
 """Unit-torus classes: three routes, strata, counting, rendering."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusclass.combinatorics import compositions, partitions
 from torusclass.cyclic import CyclicBurnside
-from torusclass.gsets import FiniteGSet, from_cycle_lengths
+from torusclass.gsets import FiniteGSet, cycle_type, orbits, perm_of_cycle_type
 from torusclass.schur import restrict_to_cyclic, tuple_set_class
 from torusclass.torus import (
     AlgebraSpec,
-    FiberedAlgebra,
     TorusClass,
+    _stratum_types,
+    _units_of_type,
     char_poly_oracle,
     class_via_lambda,
     class_via_recursion,
@@ -18,7 +24,6 @@ from torusclass.torus import (
     point_count_oracle,
     recursion_stratum_base,
     spec_class,
-    stratum,
 )
 
 ROUTES = (class_via_lambda, class_via_universal, class_via_recursion)
@@ -233,27 +238,74 @@ def test_latex_rendering_mentions_lefschetz_and_fields():
     assert r"[\operatorname{Spec}\mathbb{F}_{q^{4}}]" in tex
 
 
-def test_fibered_algebra_validation():
-    total = from_cycle_lengths((2,))
-    base = FiniteGSet(1, ((0,),))
-    fa = FiberedAlgebra(total, base, (0, 0))
-    assert fa.fiber_size == 2
-    with pytest.raises(ValueError):
-        FiberedAlgebra(total, base, (0,))
-    # non-equivariant projection: swap on top of a 2-point trivial base
-    with pytest.raises(ValueError):
-        FiberedAlgebra(total, FiniteGSet(2, ((0, 1),)), (0, 1))
-    # non-uniform fibers
-    with pytest.raises(ValueError):
-        FiberedAlgebra(from_cycle_lengths((1, 1, 1)), FiniteGSet(2, ((0, 1),)), (0, 0, 1))
-
-
 def test_stratum_index_bounds():
-    fa = FiberedAlgebra(from_cycle_lengths((3,)), FiniteGSet(1, ((0,),)), (0, 0, 0))
+    spec = AlgebraSpec((3,))
+    assert recursion_stratum_base(spec, (3,)) == CyclicBurnside.ONE
     with pytest.raises(ValueError):
-        stratum(fa, 0)
+        recursion_stratum_base(spec, (0,))
     with pytest.raises(ValueError):
-        stratum(fa, 4)
+        recursion_stratum_base(spec, (4,))
+    # after peeling 2 of 3 points only the last one is left to vanish
+    with pytest.raises(ValueError):
+        recursion_stratum_base(spec, (2, 2))
+
+
+def _materialised_stratum_types(b, tau, i):
+    """Component types of stratum i of the fibered piece of type (b, tau),
+    built point by point.  The piece is b copies of a fiber of sum(tau)
+    points; the generator steps to the next copy and, from the last one,
+    back to the first through a permutation of cycle type tau.  The
+    stratum's base is the set of (copy, i-subset of the fiber) pairs; each
+    base orbit gives its size and the cycle type of the return map on the
+    fiber points outside the subset."""
+    r = sum(tau)
+    sigma = perm_of_cycle_type(tau)
+
+    def step(j, x):
+        return (j + 1, x) if j + 1 < b else (0, sigma[x])
+
+    def step_pair(j, subset):
+        return (j + 1, subset) if j + 1 < b else (0, tuple(sorted(sigma[x] for x in subset)))
+
+    labels = [(j, subset) for j in range(b) for subset in combinations(range(r), i)]
+    index = {label: k for k, label in enumerate(labels)}
+    base = FiniteGSet(len(labels), ([index[step_pair(*label)] for label in labels],), labels)
+    types = Counter()
+    for orbit in orbits(base):
+        j, subset = orbit.labels[0]
+        fiber = [x for x in range(r) if x not in subset]
+        position = {x: k for k, x in enumerate(fiber)}
+        returned = []
+        for x in fiber:
+            point = (j, x)
+            for _ in range(orbit.size):
+                point = step(*point)
+            assert point[0] == j
+            returned.append(position[point[1]])
+        types[(orbit.size, cycle_type(returned))] += 1
+    return types
+
+
+def test_stratum_types_match_materialised_strata():
+    for r in range(1, 8):
+        for tau in partitions(r):
+            for i in range(1, r):
+                for b in (1, 2, 3):
+                    expected = _materialised_stratum_types(b, tau, i)
+                    got = Counter({(b * m, rest): c for (m, rest), c in _stratum_types(tau, i)})
+                    assert got == expected, (b, tau, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda r: st.sampled_from(partitions(r))),
+    st.sampled_from((2, 3, 6)),
+)
+def test_units_of_type_is_induced_along_the_base_orbit(tau, b):
+    # a piece over a b-orbit is induced from the index-b subgroup, which
+    # sends [k] to [b k] in every coefficient
+    for j, c in enumerate(_units_of_type(1, tau)):
+        assert _units_of_type(b, tau)[j] == CyclicBurnside({b * k: v for k, v in c.coeffs.items()})
 
 
 def test_stratum_bases_match_restricted_tuple_classes():
