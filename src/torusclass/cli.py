@@ -8,8 +8,10 @@ rho     the universal weight-i coefficient on the partition basis
 marks   the fixed-point matrix of the degree-n tuple sets
 verify  cross-check all computation routes and the point-count oracle
 
-With every route (`class --method all`, `verify`), the rho route is
-skipped above its degree bound and the other two must agree.
+`lambda`, `rho` and `marks` take n up to the Schur ring's degree bound
+(schur.DEGREE_BOUND, 16).  With every route (`class --method all`,
+`verify`), the rho route is skipped above that bound and the other two
+must agree.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
@@ -102,8 +104,8 @@ def cmd_lambda(args) -> int:
     else:
         print(f"lambda^{args.i} of the standard {args.n}-point set: {element}")
         print("marks by cycle type:")
-        for lam in mark_matrix(args.n).index:
-            print(f"  ({_partition_key(lam)}): {element.mark(lam)}")
+        for lam, value in element.marks.items():
+            print(f"  ({_partition_key(lam)}): {value}")
         if matches is not None:
             print(f"matches (-1)^i * rho: {'yes' if matches else 'NO'}")
     if matches is False:
@@ -119,8 +121,8 @@ def cmd_rho(args) -> int:
     print(f"rho(n={args.n}, i={args.i}) = {element}")
     print(f"identity mark: {element.cardinality}")
     print("marks by cycle type:")
-    for lam in mark_matrix(args.n).index:
-        print(f"  ({_partition_key(lam)}): {element.mark(lam)}")
+    for lam, value in element.marks.items():
+        print(f"  ({_partition_key(lam)}): {value}")
     return 0
 
 

@@ -8,43 +8,40 @@ covering only part of {1..n} is isomorphic to the one padded with the
 complement as an extra block, so the ``[P_mu]`` over partitions of n span
 every tuple-set class.
 
-Every element is held in two coordinate systems at once:
+An element is stored in basis coordinates, an integer combination of
+``[P_mu]``.  Its ghost coordinates, the fixed-point counts under one
+permutation per cycle type of n (the marks), are derived on demand, one
+cycle type at a time: the mark of ``[P_mu]`` at cycle type lam counts the
+ways to fill the blocks of mu with the cycles of lam.
 
-* basis coordinates: an integer combination of ``[P_mu]``;
-* ghost coordinates: the mark vector, i.e. the fixed-point count under
-  one permutation per cycle type of n.
-
-Ring arithmetic happens on mark vectors, where multiplication is
-pointwise.  Results are pulled back to basis coordinates by an exact
-rational solve against the mark matrix; the matrix is inverted over the
-rationals once per n, which also certifies that the spanning classes are
-linearly independent.  A non-integral solution cannot come from a real
-element of the subring and raises ArithmeticError.
+Multiplication is pointwise on marks.  Results are pulled back to basis
+coordinates against the mark matrix, which is triangular: the mark of
+``[P_mu]`` at lam is zero unless lam refines mu, and the diagonal has no
+zero, which certifies that the spanning classes are linearly independent.
+The solve is forward substitution on integers; a remainder means the
+marks cannot come from a real element of the subring and raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from typing import Mapping
 
-from .combinatorics import (
-    Composition,
-    Partition,
-    compositions,
-    divisors,
-    multinomial,
-    partitions,
-    power_cycle_type,
-)
+from .combinatorics import Composition, Partition, divisors, partitions, power_cycle_type
 from .cyclic import CyclicBurnside
 from .series import invariant_multiset_counts, lambda_from_sigma
 
-# Everything in this module materializes data indexed by partitions of n,
-# so n is capped to keep table sizes sane.
-DEGREE_BOUND = 10
+# Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
+# to keep table sizes sane.
+DEGREE_BOUND = 16
+
+
+def _check_degree(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= DEGREE_BOUND:
+        raise ValueError(f"n={n!r} outside supported range 1..{DEGREE_BOUND}")
 
 
 def _check_partition(n: int, lam) -> Partition:
@@ -58,59 +55,45 @@ def _check_partition(n: int, lam) -> Partition:
 
 @cache
 def _assignments(cycles: tuple[int, ...], caps: tuple[int, ...]) -> int:
-    """Ways to assign each cycle length to one block position so that the
-    block capacities are filled exactly."""
+    """Ways to assign each cycle length to one block so that the block
+    capacities are filled exactly.
+
+    cycles is weakly decreasing; caps is canonical (sorted descending, no
+    zeros).  The count does not depend on the order of the blocks, so
+    blocks of equal capacity are taken once, times their number.
+    """
     if not cycles:
-        return 1 if all(c == 0 for c in caps) else 0
+        return 1 if not caps else 0
     first, rest = cycles[0], cycles[1:]
     total = 0
     for j, cap in enumerate(caps):
-        if cap >= first:
-            total += _assignments(rest, caps[:j] + (cap - first,) + caps[j + 1 :])
+        if cap < first:
+            break
+        if j and caps[j - 1] == cap:
+            continue
+        left = caps[:j] + caps[j + 1 :] + ((cap - first,) if cap > first else ())
+        total += caps.count(cap) * _assignments(rest, tuple(sorted(left, reverse=True)))
     return total
-
-
-def _invert_exact(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    size = len(rows)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("mark matrix is singular; tuple classes are not independent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[size:]) for row in aug)
 
 
 class MarkMatrix:
     """Fixed-point counts of the tuple sets, rows by block partition mu and
-    columns by cycle type lam, together with the exact inverse used to
-    recover basis coordinates from mark vectors."""
+    columns by cycle type lam, both in lex-descending order.  An entry is
+    zero unless lam refines mu, so the matrix is upper triangular."""
 
-    __slots__ = ("n", "index", "entries", "_position", "_inverse")
+    __slots__ = ("n", "index", "entries", "_position")
 
     def __init__(self, n: int):
         index = tuple(partitions(n))
         entries = tuple(
             tuple(_assignments(lam, mu) for lam in index) for mu in index
         )
-        # solve marks[lam] = sum_mu coeff[mu] * entries[mu][lam]: invert the
-        # transpose once, exactly
-        transpose = [
-            [Fraction(entries[mu_i][lam_i]) for mu_i in range(len(index))]
-            for lam_i in range(len(index))
-        ]
+        if any(entries[i][i] == 0 for i in range(len(index))):
+            raise ArithmeticError("mark matrix is singular; tuple classes are not independent")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_position", {p: i for i, p in enumerate(index)})
-        object.__setattr__(self, "_inverse", _invert_exact(transpose))
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkMatrix is immutable")
@@ -118,23 +101,23 @@ class MarkMatrix:
     def entry(self, mu: Partition, lam: Partition) -> int:
         return self.entries[self._position[mu]][self._position[lam]]
 
-    def marks_from_basis(self, basis: Mapping[Partition, int]) -> dict[Partition, int]:
-        out = {}
-        for lam_i, lam in enumerate(self.index):
-            out[lam] = sum(c * self.entries[self._position[mu]][lam_i] for mu, c in basis.items())
-        return out
-
     def basis_from_marks(self, marks: Mapping[Partition, int]) -> dict[Partition, int]:
-        vector = [marks[lam] for lam in self.index]
+        """Solve marks[lam] = sum_mu coeff[mu] * entries[mu][lam] by forward
+        substitution: the equation at the j-th cycle type involves only the
+        first j + 1 coefficients, so it yields the j-th."""
+        coeffs = []
         out = {}
-        for mu_i, mu in enumerate(self.index):
-            value = sum(self._inverse[mu_i][lam_i] * vector[lam_i] for lam_i in range(len(self.index)))
-            if value.denominator != 1:
+        for j, p in enumerate(self.index):
+            rest = marks[p] - sum(c * self.entries[i][j] for i, c in enumerate(coeffs) if c)
+            c, remainder = divmod(rest, self.entries[j][j])
+            if remainder:
                 raise ArithmeticError(
-                    f"mark vector does not lie on the tuple-class lattice (coefficient of {mu} is {value})"
+                    f"mark vector does not lie on the tuple-class lattice "
+                    f"(coefficient of {p} is {rest}/{self.entries[j][j]})"
                 )
-            if value != 0:
-                out[mu] = int(value)
+            coeffs.append(c)
+            if c:
+                out[p] = c
         return out
 
     def __repr__(self) -> str:
@@ -143,29 +126,27 @@ class MarkMatrix:
 
 @cache
 def mark_matrix(n: int) -> MarkMatrix:
-    if not 1 <= n <= DEGREE_BOUND:
-        raise ValueError(f"n={n} outside supported range 1..{DEGREE_BOUND}")
+    _check_degree(n)
     return MarkMatrix(n)
 
 
 class SchurElement:
     """An element of the tuple-class subring of the degree-n symmetric
-    group's Burnside ring, stored in basis and ghost coordinates."""
+    group's Burnside ring, stored in basis coordinates."""
 
-    __slots__ = ("n", "_basis", "_marks")
+    __slots__ = ("n", "_basis")
 
-    def __init__(self, n: int, basis: dict[Partition, int], marks: dict[Partition, int]):
+    def __init__(self, n: int, basis: dict[Partition, int]):
         # internal: callers go through from_basis / from_marks
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_marks", marks)
 
     def __setattr__(self, name, value):
         raise AttributeError("SchurElement is immutable")
 
     @classmethod
     def from_basis(cls, n: int, basis: Mapping[Partition, int]) -> "SchurElement":
-        matrix = mark_matrix(n)
+        _check_degree(n)
         clean = {}
         for mu, c in basis.items():
             mu = _check_partition(n, mu)
@@ -173,17 +154,16 @@ class SchurElement:
                 raise ValueError(f"coefficient {c!r} must be an integer")
             if c != 0:
                 clean[mu] = c
-        return cls(n, clean, matrix.marks_from_basis(clean))
+        return cls(n, clean)
 
     @classmethod
     def from_marks(cls, n: int, marks: Mapping[Partition, int]) -> "SchurElement":
+        _check_degree(n)
         matrix = mark_matrix(n)
-        vector = {}
         for lam in matrix.index:
             if lam not in marks:
                 raise ValueError(f"mark vector is missing cycle type {lam}")
-            vector[lam] = marks[lam]
-        return cls(n, matrix.basis_from_marks(vector), vector)
+        return cls(n, matrix.basis_from_marks(marks))
 
     @classmethod
     def zero(cls, n: int) -> "SchurElement":
@@ -200,16 +180,20 @@ class SchurElement:
 
     @property
     def marks(self) -> dict[Partition, int]:
-        return dict(self._marks)
+        """Every mark, by cycle type in lex-descending order."""
+        return {lam: self._mark(lam) for lam in partitions(self.n)}
+
+    def _mark(self, lam: Partition) -> int:
+        return sum(c * _assignments(lam, mu) for mu, c in self._basis.items())
 
     def mark(self, lam) -> int:
         """Fixed points under one permutation of the given cycle type."""
-        return self._marks[_check_partition(self.n, lam)]
+        return self._mark(_check_partition(self.n, lam))
 
     @property
     def cardinality(self) -> int:
         """The mark at the identity: the virtual size of the set."""
-        return self._marks[(1,) * self.n]
+        return self._mark((1,) * self.n)
 
     def _coerce(self, other) -> "SchurElement":
         if isinstance(other, SchurElement):
@@ -237,18 +221,12 @@ class SchurElement:
         basis = dict(self._basis)
         for mu, c in other._basis.items():
             basis[mu] = basis.get(mu, 0) + c
-        basis = {mu: c for mu, c in basis.items() if c != 0}
-        marks = {lam: self._marks[lam] + other._marks[lam] for lam in self._marks}
-        return SchurElement(self.n, basis, marks)
+        return SchurElement(self.n, {mu: c for mu, c in basis.items() if c != 0})
 
     __radd__ = __add__
 
     def __neg__(self) -> "SchurElement":
-        return SchurElement(
-            self.n,
-            {mu: -c for mu, c in self._basis.items()},
-            {lam: -v for lam, v in self._marks.items()},
-        )
+        return SchurElement(self.n, {mu: -c for mu, c in self._basis.items()})
 
     def __sub__(self, other) -> "SchurElement":
         other = self._coerce(other)
@@ -258,36 +236,36 @@ class SchurElement:
 
     def __mul__(self, other) -> "SchurElement":
         if isinstance(other, int) and not isinstance(other, bool):
-            basis = {mu: other * c for mu, c in self._basis.items() if other * c != 0}
-            marks = {lam: other * v for lam, v in self._marks.items()}
-            return SchurElement(self.n, basis, marks)
+            return SchurElement(
+                self.n, {mu: other * c for mu, c in self._basis.items() if other * c != 0}
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         # multiplication is pointwise on ghost coordinates; pull the result
         # back to the basis, which certifies closure
-        marks = {lam: self._marks[lam] * other._marks[lam] for lam in self._marks}
+        theirs = other.marks
+        marks = {lam: v * theirs[lam] for lam, v in self.marks.items()}
         return SchurElement.from_marks(self.n, marks)
 
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        matrix = mark_matrix(self.n)
         return {
             "n": self.n,
             "basis": {
                 ",".join(map(str, mu)): self._basis[mu]
-                for mu in matrix.index
+                for mu in partitions(self.n)
                 if mu in self._basis
             },
-            "marks": {",".join(map(str, lam)): self._marks[lam] for lam in matrix.index},
+            "marks": {",".join(map(str, lam)): v for lam, v in self.marks.items()},
         }
 
     def __str__(self) -> str:
         if not self._basis:
             return "0"
         parts = []
-        for mu in mark_matrix(self.n).index:
+        for mu in partitions(self.n):
             if mu not in self._basis:
                 continue
             c = self._basis[mu]
@@ -312,6 +290,7 @@ def tuple_set_class(n: int, alpha: Composition) -> SchurElement:
     isomorphic to its complement-padded one, so the canonical basis key is
     alpha padded with n - sum(alpha) and sorted descending.
     """
+    _check_degree(n)
     alpha = tuple(alpha)
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in alpha):
         raise ValueError("tuple sizes must be positive integers")
@@ -327,17 +306,23 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
     """The universal degree-n coefficient of weight i: the alternating sum
     of tuple-set classes over all compositions of i, signed by tuple length.
 
+    The compositions that sort to a partition kappa of i all give the
+    class of kappa padded with n - i, so the sum runs over partitions,
+    each weighted by its number of orderings, len(kappa)! / prod m_j!.
+
     Restricting it along a choice of generator yields the coefficient of
     L^(n-i) in the class of the unit torus; see restrict_to_cyclic.
     """
+    _check_degree(n)
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     basis: dict[Partition, int] = {}
-    for comp in compositions(i):
-        padded = comp if i == n else comp + (n - i,)
-        mu = tuple(sorted(padded, reverse=True))
-        sign = -1 if len(comp) % 2 == 1 else 1
-        basis[mu] = basis.get(mu, 0) + sign
+    for kappa in partitions(i):
+        orderings = math.factorial(len(kappa))
+        for m in Counter(kappa).values():
+            orderings //= math.factorial(m)
+        mu = kappa if i == n else tuple(sorted(kappa + (n - i,), reverse=True))
+        basis[mu] = basis.get(mu, 0) + (-1) ** len(kappa) * orderings
     return SchurElement.from_basis(n, basis)
 
 
@@ -349,11 +334,11 @@ def lambda_standard(n: int, i: int) -> SchurElement:
     follow by the series recursion.  The result is pulled back to the
     partition basis by the exact solve, whose integrality is asserted.
     """
+    _check_degree(n)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    matrix = mark_matrix(n)
     marks = {}
-    for lam in matrix.index:
+    for lam in partitions(n):
         sigmas = invariant_multiset_counts(Counter(lam), i)
         marks[lam] = lambda_from_sigma(sigmas)[i]
     return SchurElement.from_marks(n, marks)

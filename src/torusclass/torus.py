@@ -39,10 +39,15 @@ from functools import cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .combinatorics import Composition, Partition
+from .combinatorics import Composition, Partition, is_prime_power
 from .cyclic import CyclicBurnside
 from .gsets import cycle_type, perm_of_cycle_type
 from .schur import restrict_to_cyclic, torus_coefficient
+
+
+def _check_field_size(q: int) -> None:
+    if not is_prime_power(q):
+        raise ValueError(f"q={q!r} is not a prime power, so no field has q elements")
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,7 @@ class TorusClass:
     def count_points(self, q: int, e: int) -> int:
         """Number of points over the degree-e extension of a q-element
         field: evaluate each coefficient by its mark at e and L at q^e."""
-        if q < 2:
-            raise ValueError("q must be at least 2")
+        _check_field_size(q)
         if e < 1:
             raise ValueError("e must be positive")
         qe = q**e
@@ -281,8 +285,7 @@ def point_count_oracle(spec: AlgebraSpec, q: int, e: int) -> int:
     """Unit count of L tensored up to the degree-e extension, from the
     splitting of each degree-n_j factor into gcd(n_j, e) factors of
     degree lcm(n_j, e)."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_field_size(q)
     if e < 1:
         raise ValueError("e must be positive")
     count = 1

@@ -168,7 +168,7 @@ def test_acceptance_7_norm_one_subtorus():
     _report("norm-one classes: factorization and quotient point counts, n <= 6", ok)
 
 
-def test_acceptance_8_recursion_agrees_with_lambda_to_n_12():
+def test_acceptance_8_three_routes_agree_to_n_12():
     start = time.time()
     ok = True
     checked = 0
@@ -177,14 +177,14 @@ def test_acceptance_8_recursion_agrees_with_lambda_to_n_12():
             spec = AlgebraSpec(parts)
             tc = class_via_recursion(spec)
             checked += 1
-            ok = ok and tc == class_via_lambda(spec)
+            ok = ok and tc == class_via_lambda(spec) == class_via_universal(spec)
             for q in (2, 3):
                 for e in (1, 2):
                     ok = ok and tc.count_points(q, e) == point_count_oracle(spec, q, e)
     elapsed = time.time() - start
     ok = ok and checked == 271 and elapsed < 60.0
     _report(
-        f"recursion and lambda routes agree on all {checked} partitions of n <= 12, "
+        f"three routes agree on all {checked} partitions of n <= 12, "
         f"point counts q 2..3 e 1..2, in {elapsed:.1f}s",
         ok,
     )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from torusclass.cli import main
+from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import AlgebraSpec, TorusClass, class_via_lambda
 
 
@@ -100,16 +101,18 @@ def test_verify_counts_points_only_over_fields(capsys):
 
 
 def test_all_routes_skip_rho_past_its_degree_bound(capsys):
-    code, out, _ = _run(capsys, ["class", "--partition", "11", "--method", "all"])
+    n = DEGREE_BOUND + 1
+    skipped = f"rho: skipped (n > {DEGREE_BOUND})"
+    code, out, _ = _run(capsys, ["class", "--partition", str(n), "--method", "all"])
     assert code == 0
     lines = out.splitlines()
-    assert "rho: skipped (n > 10)" in lines
-    assert lines[0].startswith("lambda:    L^11 - [Spec F_q^11]·L^10")
+    assert skipped in lines
+    assert lines[0].startswith(f"lambda:    L^{n} - [Spec F_q^{n}]·L^{n - 1}")
     assert lines[2] == "recursion: " + lines[0][len("lambda:    "):]
     assert lines[-1] == "AGREE"
-    code, out, _ = _run(capsys, ["verify", "--partition", "11", "--qmax", "3", "--emax", "1"])
+    code, out, _ = _run(capsys, ["verify", "--partition", str(n), "--qmax", "3", "--emax", "1"])
     assert code == 0
-    assert "rho: skipped (n > 10)" in out
+    assert skipped in out
     assert "PASS" in out
 
 
@@ -132,7 +135,7 @@ def test_unparsable_partition_exits_2(capsys):
 
 
 def test_bound_violation_exits_2(capsys):
-    code, _, err = _run(capsys, ["rho", "--n", "11", "--i", "1"])
+    code, _, err = _run(capsys, ["rho", "--n", str(DEGREE_BOUND + 1), "--i", "1"])
     assert code == 2
     assert "error:" in err
 

@@ -1,8 +1,12 @@
 """Tuple-class subring: mark matrix, universal coefficients, restriction."""
 
 import random
+from functools import cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusclass.combinatorics import compositions, multinomial, partitions
 from torusclass.cyclic import CyclicBurnside
@@ -61,11 +65,50 @@ def test_mark_matrix_bounds():
         mark_matrix(DEGREE_BOUND + 1)
 
 
-def test_mark_matrix_invertible_in_supported_range():
-    # construction inverts the matrix exactly; reaching here means no n in
-    # range is singular
-    for n in range(1, 8):
-        mark_matrix(n)
+@pytest.mark.parametrize(
+    "build",
+    [
+        mark_matrix,
+        SchurElement.zero,
+        SchurElement.unit,
+        lambda n: SchurElement.from_basis(n, {}),
+        lambda n: SchurElement.from_marks(n, {(1,): 1}),
+        lambda n: tuple_set_class(n, (1,)),
+        lambda n: torus_coefficient(n, 1),
+        lambda n: lambda_standard(n, 1),
+    ],
+)
+def test_degree_checked_at_every_entry_point(build):
+    # the cached matrix for 1 must not be handed out for True
+    build(1)
+    for n in (True, False, 0, -1, DEGREE_BOUND + 1, 2.0):
+        with pytest.raises(ValueError):
+            build(n)
+
+
+@cache
+def _coarsenings(lam):
+    """Every partition obtained by grouping the parts of lam, by merging
+    two parts at a time."""
+    out = {lam}
+    for a, b in combinations(range(len(lam)), 2):
+        rest = [p for k, p in enumerate(lam) if k not in (a, b)]
+        out |= _coarsenings(tuple(sorted(rest + [lam[a] + lam[b]], reverse=True)))
+    return frozenset(out)
+
+
+def test_mark_matrix_is_triangular_with_nonzero_diagonal():
+    # entry (mu, lam) counts fixed tuples, which exist exactly when the
+    # cycles of lam can be grouped into the blocks of mu; refinement implies
+    # lex order, so the lex-descending index makes the matrix triangular
+    for n in range(1, 13):
+        m = mark_matrix(n)
+        for i, mu in enumerate(m.index):
+            assert m.entries[i][i] != 0
+            for j, lam in enumerate(m.index):
+                assert (m.entries[i][j] != 0) == (mu in _coarsenings(lam)), (mu, lam)
+                if i > j:
+                    assert m.entries[i][j] == 0
 
 
 def test_tuple_set_class_padding_and_sorting():
@@ -139,9 +182,40 @@ def test_from_marks_rejects_off_lattice_vectors():
         SchurElement.from_marks(2, {(1, 1): 1, (2,): 0})
 
 
+elements = st.integers(1, DEGREE_BOUND).flatmap(
+    lambda n: st.builds(
+        SchurElement.from_basis,
+        st.just(n),
+        st.dictionaries(st.sampled_from(partitions(n)), st.integers(-3, 3), max_size=6),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements)
+def test_derived_marks_are_mark_matrix_row_sums(x):
+    m = mark_matrix(x.n)
+    marks = x.marks
+    assert list(marks) == list(m.index)
+    for lam in m.index:
+        assert marks[lam] == sum(c * m.entry(mu, lam) for mu, c in x.basis.items())
+    assert SchurElement.from_marks(x.n, marks) == x
+
+
 def test_from_marks_requires_all_cycle_types():
     with pytest.raises(ValueError):
         SchurElement.from_marks(2, {(1, 1): 2})
+
+
+def test_universal_coefficient_is_the_sum_over_compositions():
+    # the defining sum: one tuple-set class per composition of i, signed by
+    # its length
+    for n in range(1, 11):
+        for i in range(1, n + 1):
+            expected = SchurElement.zero(n)
+            for comp in compositions(i):
+                expected += (-1) ** len(comp) * tuple_set_class(n, comp)
+            assert torus_coefficient(n, i) == expected, (n, i)
 
 
 def test_universal_coefficient_examples():

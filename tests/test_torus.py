@@ -105,6 +105,20 @@ def test_class_of_product_algebra_is_product_of_classes():
         assert class_via_lambda(spec) == prod
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 11)
+    .flatmap(lambda n1: st.tuples(st.just(n1), st.integers(1, 12 - n1)))
+    .flatmap(lambda ns: st.tuples(*(st.sampled_from(partitions(n)) for n in ns))),
+    st.sampled_from((class_via_universal, class_via_recursion)),
+)
+def test_class_is_multiplicative_across_routes(pair, route):
+    # the units of a product algebra are the product of the unit groups
+    p1, p2 = pair
+    expected = route(AlgebraSpec(p1)) * route(AlgebraSpec(p2))
+    assert route(AlgebraSpec(p1 + p2)) == expected
+
+
 def test_squaring_the_quadratic_class():
     assert BENCHMARKS[(2, 2)] == BENCHMARKS[(2,)] * BENCHMARKS[(2,)]
 
@@ -151,6 +165,16 @@ def test_point_count_input_validation():
         tc.count_points(1, 1)
     with pytest.raises(ValueError):
         tc.count_points(2, 0)
+
+
+def test_point_counts_need_a_field_size():
+    tc = BENCHMARKS[(2,)]
+    for q in (0, 1, True, 6, 10, 12):
+        with pytest.raises(ValueError):
+            tc.count_points(q, 1)
+        with pytest.raises(ValueError):
+            point_count_oracle(AlgebraSpec((2,)), q, 1)
+    assert tc.count_points(8, 1) == point_count_oracle(AlgebraSpec((2,)), 8, 1) == 63
 
 
 def test_norm_one_examples():
