@@ -23,8 +23,11 @@ Three independent computations of this polynomial are provided:
 * class_via_recursion: a direct stratification of affine n-space over
   the base, peeling off loci by the size of their vanishing set within
   each fiber, computed on isomorphism types of fibered pieces: each
-  stratum's component types are read off one fiber (_stratum_types),
-  and the unit class is memoized per type.
+  stratum's component types are counted from the marks of the subsets of
+  one fiber, grouped by how many points they take from each cycle length
+  of its return map (_stratum_types), and the unit class is memoized per
+  return-map cycle type, a piece over a larger base orbit being induced
+  from it.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -34,14 +37,14 @@ against closed-form oracles.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import product
 from typing import Mapping, Sequence
 
-from .combinatorics import Composition, Partition, is_prime_power
+from .combinatorics import Composition, Partition, divisors, is_prime_power
 from .cyclic import CyclicBurnside
-from .gsets import cycle_type, perm_of_cycle_type
 from .schur import restrict_to_cyclic, torus_coefficient
 
 
@@ -307,72 +310,81 @@ def char_poly_oracle(spec: AlgebraSpec) -> tuple[int, ...]:
 
 
 @cache
-def _stratum_types(tau: Partition, i: int) -> tuple[tuple[tuple[int, Partition], int], ...]:
-    """Component types of stratum i of a fibered piece whose return map
-    sigma has cycle type tau, as ((m, tau'), count) pairs.
+def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], int], ...], ...]:
+    """Component types of the strata of a fibered piece over a single
+    point whose return map sigma has cycle type tau, as ((m, tau'), count)
+    pairs, for each stratum index i in 0..r, r = sum(tau).
 
-    The stratum's base points over a base point are the i-subsets S of its
-    fiber, so its base orbits over a b-orbit are the sigma-orbits of
-    i-subsets, scaled by b.  An orbit of length m gives one component of
-    type (b m, tau'), where tau' is the cycle type of sigma^m, the new
-    return map, on the complement of S.  Only one fiber of r = sum(tau)
-    points is looked at, and each i-subset once.
+    The stratum's base points are the i-subsets of the fiber, and its
+    components are their sigma-orbits.  Let sigma have a_t cycles of
+    length t.  Subsets are grouped by how many points s_t they take from
+    the cycles of each length t.  On those points sigma^d has a_t g cycles
+    of length t / g, g = gcd(d, t), and fixes a subset exactly when it is a
+    union of them, so the fixed subsets of a group number
+    prod_t C(a_t g, s_t g / t), or 0 when t does not divide s_t g.  From
+    these marks, CyclicBurnside.from_marks gives the number of orbits of
+    each length m.  An orbit of length m gives a component of type
+    (m, tau'): tau' is the cycle type of sigma^m, the new return map, on
+    the complement, which is again a union of those cycles for d = m.  No
+    subset is enumerated.
     """
-    r = sum(tau)
-    sigma = perm_of_cycle_type(tau)
-    counts: dict[tuple[int, Partition], int] = {}
-    pending: set[tuple[int, ...]] = set()
-    for subset in combinations(range(r), i):
-        # subsets come in lexicographic order, so each orbit is first met
-        # at its least member and every later member is met exactly once
-        if subset in pending:
-            pending.remove(subset)
-            continue
-        m = 1
-        image = tuple(sorted(sigma[x] for x in subset))
-        while image != subset:
-            pending.add(image)
-            image = tuple(sorted(sigma[x] for x in image))
-            m += 1
-        inside = set(subset)
-        rest = [x for x in range(r) if x not in inside]
-        position = {x: j for j, x in enumerate(rest)}
-        power = []
-        for x in rest:
-            y = x
-            for _ in range(m):
-                y = sigma[y]
-            power.append(position[y])
-        key = (m, cycle_type(power))
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items(), reverse=True))
+    lengths = sorted(Counter(tau).items(), reverse=True)
+    strata: list[dict[tuple[int, Partition], int]] = [{} for _ in range(sum(tau) + 1)]
+    for picks in product(*(range(a * t + 1) for t, a in lengths)):
+        blocks = tuple(zip(lengths, picks))
+        # a block taken wholly or not at all is fixed by every power of
+        # sigma: it adds a factor 1 to each mark and nothing to the order
+        partial = [(t, a, s) for (t, a), s in blocks if 0 < s < a * t]
+        marks = {}
+        for d in divisors(math.lcm(*(t for t, _, _ in partial))):
+            fixed = 1
+            for t, a, s in partial:
+                g = math.gcd(d, t)
+                if s * g % t:
+                    fixed = 0
+                    break
+                fixed *= math.comb(a * g, s * g // t)
+            marks[d] = fixed
+        counts = strata[sum(picks)]
+        for m, orbits in CyclicBurnside.from_marks(marks).coeffs.items():
+            rest: list[int] = []
+            for (t, a), s in blocks:
+                g = math.gcd(m, t)
+                rest += [t // g] * ((a * t - s) * g // t)
+            key = (m, tuple(sorted(rest, reverse=True)))
+            counts[key] = counts.get(key, 0) + orbits
+    return tuple(tuple(sorted(counts.items(), reverse=True)) for counts in strata)
 
 
 @cache
-def _units_of_type(b: int, tau: Partition) -> tuple[CyclicBurnside, ...]:
-    """Class of the unit scheme of a fibered piece of isomorphism type
-    (b, tau): a rank-r algebra over a b-orbit whose return map on a fiber
-    has cycle type tau.  Coefficients by ascending Lefschetz power.
+def _units_of_type(tau: Partition) -> tuple[CyclicBurnside, ...]:
+    """Class of the unit scheme of a fibered piece over a single point
+    whose return map on the fiber has cycle type tau: a rank-r algebra
+    with r = sum(tau).  Coefficients by ascending Lefschetz power.
 
-    Affine r-space over the base splits into the units, the strata with
-    vanishing set of size 1..r-1, and the zero section:
+    Affine r-space splits into the units, the strata with vanishing set
+    of size 1..r-1, and the zero section:
 
-        [units] = [T] L^r - sum_i [units(stratum_i)] - [T].
+        [units] = L^r - sum_i [units(stratum_i)] - 1.
 
-    Rank 0 is the zero algebra, whose unit scheme is the base itself.
+    A stratum component of type (m, tau') lies over an m-orbit, so it is
+    induced from the index-m subgroup, which sends [k] to [m k] in every
+    coefficient of the class of type tau'.  Rank 0 is the zero algebra,
+    whose unit scheme is the point.
     """
     r = sum(tau)
     if r == 0:
-        return (CyclicBurnside.orbit(b),)
+        return (CyclicBurnside.ONE,)
     # orbit-size -> multiplicity per Lefschetz power
     poly: list[dict[int, int]] = [{} for _ in range(r + 1)]
-    poly[r][b] = 1
-    poly[0][b] = -1
+    poly[r][1] = 1
+    poly[0][1] = -1
+    strata = _stratum_types(tau)
     for i in range(1, r):
-        for (m, rest), count in _stratum_types(tau, i):
-            for j, c in enumerate(_units_of_type(b * m, rest)):
+        for (m, rest), count in strata[i]:
+            for j, c in enumerate(_units_of_type(rest)):
                 for k, v in c.coeffs.items():
-                    poly[j][k] = poly[j].get(k, 0) - count * v
+                    poly[j][m * k] = poly[j].get(m * k, 0) - count * v
     return tuple(CyclicBurnside(p) for p in poly)
 
 
@@ -381,7 +393,7 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     the units, recursing into each stratum.  Over the point, the return
     map on the single fiber is Frobenius, of cycle type spec.parts."""
     n = spec.n
-    poly = _units_of_type(1, spec.parts)
+    poly = _units_of_type(spec.parts)
     return TorusClass(n, tuple(poly[n - i] for i in range(n + 1)))
 
 
@@ -397,7 +409,7 @@ def recursion_stratum_base(spec: AlgebraSpec, alpha: Composition) -> CyclicBurns
             raise ValueError(f"stratum index {i} out of range 1..{r}")
         peeled: dict[tuple[int, Partition], int] = {}
         for (b, tau), c in pieces.items():
-            for (m, rest), count in _stratum_types(tau, i):
+            for (m, rest), count in _stratum_types(tau)[i]:
                 key = (b * m, rest)
                 peeled[key] = peeled.get(key, 0) + c * count
         pieces = peeled

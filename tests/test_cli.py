@@ -146,6 +146,12 @@ def test_class_of_degree_14_field(capsys):
     assert out.startswith("L^14 - [Spec F_q^14]·L^13")
 
 
+def test_recursion_answers_for_a_degree_22_field(capsys):
+    code, out, _ = _run(capsys, ["class", "--partition", "22", "--method", "recursion"])
+    assert code == 0
+    assert out.startswith("L^22 - [Spec F_q^22]·L^21")
+
+
 @pytest.mark.parametrize("command", [["lambda", "--i", "1"], ["rho", "--i", "1"], ["marks"]])
 def test_latex_format_rejected_where_unsupported(command):
     with pytest.raises(SystemExit) as excinfo:

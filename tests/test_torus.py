@@ -1,6 +1,8 @@
 """Unit-torus classes: three routes, strata, counting, rendering."""
 
+import math
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -110,13 +112,27 @@ def test_class_of_product_algebra_is_product_of_classes():
     st.integers(1, 11)
     .flatmap(lambda n1: st.tuples(st.just(n1), st.integers(1, 12 - n1)))
     .flatmap(lambda ns: st.tuples(*(st.sampled_from(partitions(n)) for n in ns))),
-    st.sampled_from((class_via_universal, class_via_recursion)),
+    st.sampled_from(ROUTES),
 )
 def test_class_is_multiplicative_across_routes(pair, route):
     # the units of a product algebra are the product of the unit groups
     p1, p2 = pair
     expected = route(AlgebraSpec(p1)) * route(AlgebraSpec(p2))
     assert route(AlgebraSpec(p1 + p2)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.sampled_from(partitions(n))),
+    st.integers(1, 6),
+    st.sampled_from(ROUTES),
+)
+def test_base_change_splits_each_factor(parts, d, route):
+    # over the degree-d extension a field of degree n_j splits into
+    # gcd(n_j, d) fields of degree n_j / gcd(n_j, d)
+    split = [nj // math.gcd(nj, d) for nj in parts for _ in range(math.gcd(nj, d))]
+    got = tuple(c.base_change(d) for c in route(AlgebraSpec(parts)).coeffs)
+    assert got == route(AlgebraSpec(split)).coeffs
 
 
 def test_squaring_the_quadratic_class():
@@ -218,6 +234,18 @@ def test_lambda_and_norm_one_routes_at_large_n():
         assert l_minus_1 * norm_one_class(spec) == tc
 
 
+def test_recursion_route_at_large_n():
+    # beyond the reach of a walk over the subsets of a fiber
+    for parts in [(20,), (24,), (9, 7), (8, 5, 3), (11, 7, 5), (4, 4, 2, 2, 1, 1), (1,) * 16]:
+        spec = AlgebraSpec(parts)
+        tc = class_via_recursion(spec)
+        assert tc == class_via_lambda(spec)
+        assert tc.char_poly() == char_poly_oracle(spec)
+        for q in (2, 3):
+            for e in (1, 2):
+                assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
+
+
 def test_char_poly_examples():
     assert BENCHMARKS[(2,)].char_poly() == (-1, 0, 1)
     assert class_via_lambda(AlgebraSpec((1, 1))).char_poly() == (1, -2, 1)
@@ -316,20 +344,83 @@ def test_stratum_types_match_materialised_strata():
             for i in range(1, r):
                 for b in (1, 2, 3):
                     expected = _materialised_stratum_types(b, tau, i)
-                    got = Counter({(b * m, rest): c for (m, rest), c in _stratum_types(tau, i)})
+                    got = Counter({(b * m, rest): c for (m, rest), c in _stratum_types(tau)[i]})
                     assert got == expected, (b, tau, i)
+
+
+@cache
+def _subset_walk_stratum_types(tau, i):
+    """Component types of stratum i of the piece over a point with return
+    map of cycle type tau, by walking every i-subset of one fiber: each
+    sigma-orbit of subsets, of length m, gives the type (m, cycle type of
+    sigma^m on the complement)."""
+    r = sum(tau)
+    sigma = perm_of_cycle_type(tau)
+    counts = Counter()
+    pending = set()
+    for subset in combinations(range(r), i):
+        # subsets come in lexicographic order, so each orbit is first met
+        # at its least member and every later member is met exactly once
+        if subset in pending:
+            pending.remove(subset)
+            continue
+        m = 1
+        image = tuple(sorted(sigma[x] for x in subset))
+        while image != subset:
+            pending.add(image)
+            image = tuple(sorted(sigma[x] for x in image))
+            m += 1
+        rest = [x for x in range(r) if x not in subset]
+        position = {x: j for j, x in enumerate(rest)}
+        power = []
+        for x in rest:
+            y = x
+            for _ in range(m):
+                y = sigma[y]
+            power.append(position[y])
+        counts[(m, cycle_type(power))] += 1
+    return counts
+
+
+def test_stratum_types_match_the_subset_walk():
+    for r in range(1, 11):
+        for tau in partitions(r):
+            strata = _stratum_types(tau)
+            assert len(strata) == r + 1
+            # the empty subset and the whole fiber are fixed by sigma
+            assert strata[0] == (((1, tau), 1),) and strata[r] == (((1, ()), 1),)
+            for i in range(1, r):
+                assert Counter(dict(strata[i])) == _subset_walk_stratum_types(tau, i), (tau, i)
+
+
+@cache
+def _units_over_orbit(b, tau):
+    """The recursion keyed on the base orbit size b as well as tau: affine
+    r-space over a b-orbit minus its strata, with the strata's types taken
+    from the subset walk."""
+    r = sum(tau)
+    base = CyclicBurnside.orbit(b)
+    if r == 0:
+        return (base,)
+    poly = [CyclicBurnside.ZERO] * (r + 1)
+    poly[r] = base
+    poly[0] = -base
+    for i in range(1, r):
+        for (m, rest), count in _subset_walk_stratum_types(tau, i).items():
+            for j, c in enumerate(_units_over_orbit(b * m, rest)):
+                poly[j] = poly[j] - count * c
+    return tuple(poly)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 8).flatmap(lambda r: st.sampled_from(partitions(r))),
-    st.sampled_from((2, 3, 6)),
+    st.sampled_from((1, 2, 3, 6)),
 )
 def test_units_of_type_is_induced_along_the_base_orbit(tau, b):
     # a piece over a b-orbit is induced from the index-b subgroup, which
     # sends [k] to [b k] in every coefficient
-    for j, c in enumerate(_units_of_type(1, tau)):
-        assert _units_of_type(b, tau)[j] == CyclicBurnside({b * k: v for k, v in c.coeffs.items()})
+    assert _units_over_orbit(b, tau) == tuple(c.induce(b) for c in _units_of_type(tau))
 
 
 def test_stratum_bases_match_restricted_tuple_classes():
