@@ -27,7 +27,7 @@ divisor.  Nothing is materialized.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import ItemsView, Mapping
 
 from .combinatorics import divisors
 from .series import invariant_multiset_counts, lambda_from_sigma
@@ -68,6 +68,11 @@ class CyclicBurnside:
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
+
+    def terms(self) -> ItemsView[int, int]:
+        """Read-only view of the (orbit size, coefficient) pairs, without
+        the copy that coeffs makes."""
+        return self._coeffs.items()
 
     def is_zero(self) -> bool:
         return not self._coeffs

@@ -25,9 +25,11 @@ Three independent computations of this polynomial are provided:
   each fiber, computed on isomorphism types of fibered pieces: each
   stratum's component types are counted from the marks of the subsets of
   one fiber, grouped by how many points they take from each cycle length
-  of its return map (_stratum_types), and the unit class is memoized per
-  return-map cycle type, a piece over a larger base orbit being induced
-  from it.
+  of its return map (_stratum_types); a return map with cycles of several
+  lengths is factored into isotypic blocks, one per length, whose unit
+  classes multiply, so only isotypic types are stratified; the unit class
+  is memoized per return-map cycle type, a piece over a larger base orbit
+  being induced from it.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -356,35 +358,64 @@ def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], i
     return tuple(tuple(sorted(counts.items(), reverse=True)) for counts in strata)
 
 
+def _times_class(
+    poly: list[dict[int, int]], factor: Sequence[CyclicBurnside]
+) -> list[dict[int, int]]:
+    """Product of two polynomials in L, coefficients by ascending power:
+    poly's as orbit-size -> multiplicity dicts, factor's as classes; the
+    orbits multiply as [a] * [b] = gcd(a, b) [lcm(a, b)]."""
+    out: list[dict[int, int]] = [{} for _ in range(len(poly) + len(factor) - 1)]
+    for i, x in enumerate(poly):
+        for j, y in enumerate(factor):
+            acc = out[i + j]
+            for kx, cx in x.items():
+                for ky, cy in y.terms():
+                    k = math.lcm(kx, ky)
+                    acc[k] = acc.get(k, 0) + cx * cy * math.gcd(kx, ky)
+    return out
+
+
 @cache
 def _units_of_type(tau: Partition) -> tuple[CyclicBurnside, ...]:
     """Class of the unit scheme of a fibered piece over a single point
     whose return map on the fiber has cycle type tau: a rank-r algebra
     with r = sum(tau).  Coefficients by ascending Lefschetz power.
 
-    Affine r-space splits into the units, the strata with vanishing set
-    of size 1..r-1, and the zero section:
+    The algebra is the product of one factor per distinct cycle length t,
+    of type (t,) * a_t.  The units of a product are the product of the
+    units, so a mixed type is the product, as polynomials in L, of its
+    isotypic blocks, each kept whole.  An isotypic type is stratified:
+    affine r-space splits into the units, the strata with vanishing set of
+    size 1..r-1, and the zero section:
 
         [units] = L^r - sum_i [units(stratum_i)] - 1.
 
     A stratum component of type (m, tau') lies over an m-orbit, so it is
     induced from the index-m subgroup, which sends [k] to [m k] in every
-    coefficient of the class of type tau'.  Rank 0 is the zero algebra,
-    whose unit scheme is the point.
+    coefficient of the class of type tau'; tau' is again isotypic.  Rank 0
+    is the zero algebra, whose unit scheme is the point.
     """
     r = sum(tau)
     if r == 0:
         return (CyclicBurnside.ONE,)
     # orbit-size -> multiplicity per Lefschetz power
-    poly: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    poly: list[dict[int, int]]
+    lengths = Counter(tau)
+    if len(lengths) > 1:
+        poly = [{1: 1}]
+        for t, a in lengths.items():
+            poly = _times_class(poly, _units_of_type((t,) * a))
+        return tuple(CyclicBurnside(p) for p in poly)
+    poly = [{} for _ in range(r + 1)]
     poly[r][1] = 1
     poly[0][1] = -1
     strata = _stratum_types(tau)
     for i in range(1, r):
         for (m, rest), count in strata[i]:
             for j, c in enumerate(_units_of_type(rest)):
-                for k, v in c.coeffs.items():
-                    poly[j][m * k] = poly[j].get(m * k, 0) - count * v
+                acc = poly[j]
+                for k, v in c.terms():
+                    acc[m * k] = acc.get(m * k, 0) - count * v
     return tuple(CyclicBurnside(p) for p in poly)
 
 

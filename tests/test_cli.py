@@ -152,6 +152,15 @@ def test_recursion_answers_for_a_degree_22_field(capsys):
     assert out.startswith("L^22 - [Spec F_q^22]·L^21")
 
 
+def test_all_routes_answer_for_six_fields_at_n_41(capsys):
+    # rho is past its degree bound, so lambda and recursion alone must agree
+    code, out, _ = _run(capsys, ["class", "--partition", "13,11,7,5,3,2", "--method", "all"])
+    assert code == 0
+    lines = out.splitlines()
+    assert f"rho: skipped (n > {DEGREE_BOUND})" in lines
+    assert lines[-1] == "AGREE"
+
+
 @pytest.mark.parametrize("command", [["lambda", "--i", "1"], ["rho", "--i", "1"], ["marks"]])
 def test_latex_format_rejected_where_unsupported(command):
     with pytest.raises(SystemExit) as excinfo:

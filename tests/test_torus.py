@@ -236,7 +236,18 @@ def test_lambda_and_norm_one_routes_at_large_n():
 
 def test_recursion_route_at_large_n():
     # beyond the reach of a walk over the subsets of a fiber
-    for parts in [(20,), (24,), (9, 7), (8, 5, 3), (11, 7, 5), (4, 4, 2, 2, 1, 1), (1,) * 16]:
+    for parts in [
+        (20,),
+        (24,),
+        (9, 7),
+        (8, 5, 3),
+        (11, 7, 5),
+        (4, 4, 2, 2, 1, 1),
+        (1,) * 16,
+        (13, 11, 7, 5, 3, 2),
+        (30, 24, 20),
+        (6, 5, 4, 3, 2, 1),
+    ]:
         spec = AlgebraSpec(parts)
         tc = class_via_recursion(spec)
         assert tc == class_via_lambda(spec)
@@ -421,6 +432,36 @@ def test_units_of_type_is_induced_along_the_base_orbit(tau, b):
     # a piece over a b-orbit is induced from the index-b subgroup, which
     # sends [k] to [b k] in every coefficient
     assert _units_over_orbit(b, tau) == tuple(c.induce(b) for c in _units_of_type(tau))
+
+
+@cache
+def _unfactored_units_of_type(tau):
+    """The recursion without factoring over cycle lengths: every type,
+    mixed ones included, is stratified through _stratum_types."""
+    r = sum(tau)
+    if r == 0:
+        return (CyclicBurnside.ONE,)
+    poly = [{} for _ in range(r + 1)]
+    poly[r][1] = 1
+    poly[0][1] = -1
+    strata = _stratum_types(tau)
+    for i in range(1, r):
+        for (m, rest), count in strata[i]:
+            for j, c in enumerate(_unfactored_units_of_type(rest)):
+                for k, v in c.coeffs.items():
+                    poly[j][m * k] = poly[j].get(m * k, 0) - count * v
+    return tuple(CyclicBurnside(p) for p in poly)
+
+
+def test_factored_recursion_matches_unfactored_to_n_12():
+    checked = 0
+    for n in range(1, 13):
+        for parts in partitions(n):
+            poly = _unfactored_units_of_type(parts)
+            expected = TorusClass(n, tuple(poly[n - i] for i in range(n + 1)))
+            assert class_via_recursion(AlgebraSpec(parts)) == expected, parts
+            checked += 1
+    assert checked == 271
 
 
 def test_stratum_bases_match_restricted_tuple_classes():
