@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_class = sub.add_parser("class", help="compute the unit-torus class")
     p_class.add_argument("--partition", required=True, help="factor degrees, e.g. 2,2")
-    p_class.add_argument("--method", choices=["lambda", "rho", "recursion", "all"], default="lambda")
+    p_class.add_argument("--method", choices=[*_METHODS, "all"], default="lambda")
     p_class.add_argument("--format", choices=["text", "json", "latex"], default="text")
     p_class.set_defaults(func=cmd_class)
 

@@ -1,7 +1,6 @@
-"""Compositions, partitions, multinomial counts, cycle-type powers,
-divisors and prime powers.
+"""Partitions, cycle-type powers, divisors and prime powers.
 
-Enumeration order is lexicographic descending everywhere so that basis
+Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
 """
 
@@ -12,28 +11,6 @@ from functools import cache
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
-
-
-def compositions(total: int) -> list[Composition]:
-    """All ordered tuples of positive integers with the given sum.
-
-    ``compositions(0) == [()]`` and for total >= 1 there are
-    ``2**(total - 1)`` of them, listed in lexicographic descending order.
-    """
-    if total < 0:
-        raise ValueError("composition total must be nonnegative")
-    return list(_compositions(total))
-
-
-@cache
-def _compositions(total: int) -> tuple[Composition, ...]:
-    if total == 0:
-        return ((),)
-    out = []
-    for first in range(total, 0, -1):
-        for rest in _compositions(total - first):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 def partitions(n: int) -> list[Partition]:
@@ -56,24 +33,6 @@ def _partitions(n: int, max_part: int) -> tuple[Partition, ...]:
         for rest in _partitions(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def multinomial(n: int, parts: Composition) -> int:
-    """Number of tuples of pairwise-disjoint subsets of an n-set with the
-    prescribed cardinalities: n! / (i_1! ... i_t! (n - j)!) where j is the
-    sum of the parts.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if any(p < 1 for p in parts):
-        raise ValueError("parts must be positive")
-    weight = sum(parts)
-    if weight > n:
-        raise ValueError(f"parts sum to {weight}, exceeding n={n}")
-    result = math.factorial(n) // math.factorial(n - weight)
-    for p in parts:
-        result //= math.factorial(p)
-    return result
 
 
 def power_cycle_type(lam: Partition, e: int) -> Partition:
@@ -122,7 +81,7 @@ def divisors(n: int) -> list[int]:
 
 def is_prime_power(q: int) -> bool:
     """Whether q = p^k for a prime p and k >= 1: the sizes of finite fields."""
-    if q < 2:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         return False
     p = 2
     while p * p <= q:

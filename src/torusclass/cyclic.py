@@ -200,33 +200,15 @@ class CyclicBurnside:
             for d in divisors(order)
         }
 
-    @classmethod
-    def _from_mark_series(cls, series: Mapping[int, list[int]]) -> list["CyclicBurnside"]:
-        length = len(next(iter(series.values())))
-        return [
-            cls.from_marks({d: marks[j] for d, marks in series.items()})
-            for j in range(length)
-        ]
-
-    def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
-        """Symmetric powers sigma^0..sigma^truncation, from their marks."""
-        return self._from_mark_series(self._sigma_marks(truncation))
-
     def lambda_series(self, truncation: int) -> list["CyclicBurnside"]:
         """Alternating powers lambda^0..lambda^truncation, from their marks:
         at each divisor the integer sigma marks are converted by the
         series recursion."""
-        return self._from_mark_series(
-            {d: lambda_from_sigma(s) for d, s in self._sigma_marks(truncation).items()}
-        )
-
-    def lambda_op(self, i: int, truncation: int | None = None) -> "CyclicBurnside":
-        """The i-th alternating power, computed through degree
-        max(i, truncation)."""
-        n = i if truncation is None else truncation
-        if not 0 <= i <= n:
-            raise ValueError("need 0 <= i <= truncation")
-        return self.lambda_series(n)[i]
+        series = {d: lambda_from_sigma(s) for d, s in self._sigma_marks(truncation).items()}
+        return [
+            self.from_marks({d: lams[j] for d, lams in series.items()})
+            for j in range(truncation + 1)
+        ]
 
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}

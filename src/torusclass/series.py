@@ -1,6 +1,6 @@
-"""Integer counting series and the symmetric/alternating power conversion.
+"""Integer counting series and the symmetric-to-alternating power conversion.
 
-The conversion between symmetric-power and alternating-power coefficient
+The conversion from symmetric-power to alternating-power coefficient
 sequences lives here because it is pure series algebra: the two
 generating series are mutually inverse up to the sign flip t -> -t, which
 collapses to the recursion
@@ -64,20 +64,3 @@ def lambda_from_sigma(sigmas: Sequence) -> list:
         lams.append(acc)
     return lams
 
-
-def sigma_from_lambda(lams: Sequence) -> list:
-    """Inverse of lambda_from_sigma, by the same recursion solved for sig[k]."""
-    lams = list(lams)
-    if not lams:
-        raise ValueError("need at least the constant alternating power")
-    one = lams[0]
-    sigs = [one]
-    for k in range(1, len(lams)):
-        acc = None
-        for i in range(1, k + 1):
-            term = lams[i] * sigs[k - i]
-            if i % 2 == 0:
-                term = one - one - term
-            acc = term if acc is None else acc + term
-        sigs.append(acc)
-    return sigs

@@ -45,14 +45,16 @@ from functools import cache
 from itertools import product
 from typing import Mapping, Sequence
 
-from .combinatorics import Composition, Partition, divisors, is_prime_power
+from .combinatorics import Partition, divisors, is_prime_power
 from .cyclic import CyclicBurnside
 from .schur import restrict_to_cyclic, torus_coefficient
 
 
-def _check_field_size(q: int) -> None:
+def _check_extension(q: int, e: int) -> None:
     if not is_prime_power(q):
         raise ValueError(f"q={q!r} is not a prime power, so no field has q elements")
+    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+        raise ValueError(f"e={e!r} is not a positive integer")
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,7 @@ class TorusClass:
     def count_points(self, q: int, e: int) -> int:
         """Number of points over the degree-e extension of a q-element
         field: evaluate each coefficient by its mark at e and L at q^e."""
-        _check_field_size(q)
-        if e < 1:
-            raise ValueError("e must be positive")
+        _check_extension(q, e)
         qe = q**e
         return sum(a.mark(e) * qe ** (self.n - i) for i, a in enumerate(self.coeffs))
 
@@ -290,9 +290,7 @@ def point_count_oracle(spec: AlgebraSpec, q: int, e: int) -> int:
     """Unit count of L tensored up to the degree-e extension, from the
     splitting of each degree-n_j factor into gcd(n_j, e) factors of
     degree lcm(n_j, e)."""
-    _check_field_size(q)
-    if e < 1:
-        raise ValueError("e must be positive")
+    _check_extension(q, e)
     count = 1
     for nj in spec.parts:
         count *= (q ** math.lcm(nj, e) - 1) ** math.gcd(nj, e)
@@ -427,25 +425,3 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     poly = _units_of_type(spec.parts)
     return TorusClass(n, tuple(poly[n - i] for i in range(n + 1)))
 
-
-def recursion_stratum_base(spec: AlgebraSpec, alpha: Composition) -> CyclicBurnside:
-    """Zero-dimensional class of the stratum base reached from the initial
-    algebra by peeling vanishing sets of sizes alpha, in order.  Used to
-    cross-check the recursion's intermediate bases against the restricted
-    tuple-set classes."""
-    pieces: dict[tuple[int, Partition], int] = {(1, spec.parts): 1}
-    r = spec.n
-    for i in alpha:
-        if not 1 <= i <= r:
-            raise ValueError(f"stratum index {i} out of range 1..{r}")
-        peeled: dict[tuple[int, Partition], int] = {}
-        for (b, tau), c in pieces.items():
-            for (m, rest), count in _stratum_types(tau)[i]:
-                key = (b * m, rest)
-                peeled[key] = peeled.get(key, 0) + c * count
-        pieces = peeled
-        r -= i
-    base: dict[int, int] = {}
-    for (b, _), c in pieces.items():
-        base[b] = base.get(b, 0) + c
-    return CyclicBurnside(base)

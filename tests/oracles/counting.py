@@ -1,0 +1,106 @@
+"""Counting helpers the tests check the routes with.
+
+Compositions and multinomial counts enumerate the tuple-set bases; the
+symmetric powers and the sigma-from-lambda recursion check the lambda
+route's series; the stratum bases check the recursion route's peeling
+against the restricted tuple-set classes.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cache
+from typing import Sequence
+
+from torusclass.combinatorics import Composition, Partition
+from torusclass.cyclic import CyclicBurnside
+from torusclass.torus import AlgebraSpec, _stratum_types
+
+
+def compositions(total: int) -> list[Composition]:
+    """All ordered tuples of positive integers with the given sum.
+
+    ``compositions(0) == [()]`` and for total >= 1 there are
+    ``2**(total - 1)`` of them, listed in lexicographic descending order.
+    """
+    if total < 0:
+        raise ValueError("composition total must be nonnegative")
+    return list(_compositions(total))
+
+
+@cache
+def _compositions(total: int) -> tuple[Composition, ...]:
+    if total == 0:
+        return ((),)
+    out = []
+    for first in range(total, 0, -1):
+        for rest in _compositions(total - first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def multinomial(n: int, parts: Composition) -> int:
+    """Number of tuples of pairwise-disjoint subsets of an n-set with the
+    prescribed cardinalities: n! / (i_1! ... i_t! (n - j)!) where j is the
+    sum of the parts.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if any(p < 1 for p in parts):
+        raise ValueError("parts must be positive")
+    weight = sum(parts)
+    if weight > n:
+        raise ValueError(f"parts sum to {weight}, exceeding n={n}")
+    result = math.factorial(n) // math.factorial(n - weight)
+    for p in parts:
+        result //= math.factorial(p)
+    return result
+
+
+def sigma_series(x: CyclicBurnside, truncation: int) -> list[CyclicBurnside]:
+    """Symmetric powers sigma^0..sigma^truncation of x, from their marks."""
+    series = x._sigma_marks(truncation)
+    return [
+        CyclicBurnside.from_marks({d: marks[j] for d, marks in series.items()})
+        for j in range(truncation + 1)
+    ]
+
+
+def sigma_from_lambda(lams: Sequence) -> list:
+    """Inverse of lambda_from_sigma, by the same recursion solved for sig[k]."""
+    lams = list(lams)
+    if not lams:
+        raise ValueError("need at least the constant alternating power")
+    one = lams[0]
+    sigs = [one]
+    for k in range(1, len(lams)):
+        acc = None
+        for i in range(1, k + 1):
+            term = lams[i] * sigs[k - i]
+            if i % 2 == 0:
+                term = one - one - term
+            acc = term if acc is None else acc + term
+        sigs.append(acc)
+    return sigs
+
+
+def recursion_stratum_base(spec: AlgebraSpec, alpha: Composition) -> CyclicBurnside:
+    """Zero-dimensional class of the stratum base reached from the initial
+    algebra by peeling vanishing sets of sizes alpha, in order, through
+    the recursion route's stratum types."""
+    pieces: dict[tuple[int, Partition], int] = {(1, spec.parts): 1}
+    r = spec.n
+    for i in alpha:
+        if not 1 <= i <= r:
+            raise ValueError(f"stratum index {i} out of range 1..{r}")
+        peeled: dict[tuple[int, Partition], int] = {}
+        for (b, tau), c in pieces.items():
+            for (m, rest), count in _stratum_types(tau)[i]:
+                key = (b * m, rest)
+                peeled[key] = peeled.get(key, 0) + c * count
+        pieces = peeled
+        r -= i
+    base: dict[int, int] = {}
+    for (b, _), c in pieces.items():
+        base[b] = base.get(b, 0) + c
+    return CyclicBurnside(base)

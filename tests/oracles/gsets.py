@@ -1,11 +1,10 @@
-"""Finite sets with explicit generator actions.
+"""Finite sets with explicit generator actions: the brute-force test oracle.
 
-This is the concrete substrate backing the algebraic modules: products,
-orbit scans, fixed-point counts, symmetric powers, and the sets of
-disjoint-subset tuples acted on by the symmetric group.  Everything here
-is brute force on materialized elements, which is exactly the point: the
-engine is the independent oracle against which the structural formulas
-elsewhere are checked.
+Products, orbit scans, fixed-point counts, symmetric powers, and the sets
+of disjoint-subset tuples acted on by the symmetric group.  Everything
+here is brute force on materialized elements, which is exactly the point:
+the tests check the structural formulas of the torusclass package against
+this engine, and no route of the package uses it.
 
 Sets are immutable after construction and safe to share between threads.
 Elements are the integers 0..size-1; an optional ``labels`` tuple gives
@@ -20,7 +19,10 @@ import math
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-from .combinatorics import Composition, Partition, multinomial
+from torusclass.combinatorics import Composition, Partition
+from torusclass.cyclic import CyclicBurnside
+
+from .counting import multinomial
 
 # Hard cap on materialized elements.  Anything larger is a sign the caller
 # should be using the structural formulas instead of the oracle engine.
@@ -31,8 +33,8 @@ class FiniteGSet:
     """A finite set with an ordered tuple of generating permutations.
 
     ``generators[g][x]`` is the image of element x under generator g.  The
-    group acting is whatever the generators generate; most of this package
-    uses either a single generator (procyclic actions) or the standard
+    group acting is whatever the generators generate; the tests use
+    either a single generator (procyclic actions) or the standard
     two-generator presentation of a symmetric group.
     """
 
@@ -119,7 +121,7 @@ def symmetric_group_generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]
     """The transposition (0 1) and the n-cycle (0 1 ... n-1).
 
     For n <= 1 both degenerate to the identity so that every symmetric
-    group action in the package has exactly two generators.
+    group action in this engine has exactly two generators.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -305,8 +307,6 @@ def cyclic_decomposition(a: FiniteGSet):
     """
     if len(a.generators) != 1:
         raise ValueError("cyclic decomposition needs exactly one generator")
-    from .cyclic import CyclicBurnside
-
     counts: dict[int, int] = {}
     for orb in orbits(a):
         counts[orb.size] = counts.get(orb.size, 0) + 1

@@ -1,9 +1,15 @@
-"""Command-line surface: formats, determinism, exit codes."""
+"""Command-line surface: formats, determinism, exit codes, public names."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torusclass
 from torusclass.cli import main
 from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import AlgebraSpec, TorusClass, class_via_lambda
@@ -172,3 +178,51 @@ def test_bad_verify_grid_exits_2(capsys):
     code, _, err = _run(capsys, ["verify", "--partition", "2", "--qmax", "1"])
     assert code == 2
     assert "error:" in err
+
+
+SHIPPED = {
+    "AlgebraSpec",
+    "Composition",
+    "CyclicBurnside",
+    "MarkMatrix",
+    "Partition",
+    "SchurElement",
+    "TorusClass",
+    "char_poly_oracle",
+    "class_via_lambda",
+    "class_via_recursion",
+    "class_via_universal",
+    "lambda_from_sigma",
+    "lambda_standard",
+    "mark_matrix",
+    "norm_one_class",
+    "partitions",
+    "point_count_oracle",
+    "power_cycle_type",
+    "restrict_to_cyclic",
+    "spec_class",
+    "torus_coefficient",
+    "tuple_set_class",
+}
+
+
+def test_package_ships_only_the_routes():
+    # the routes, their rings and oracles, and the CLI; the brute-force
+    # g-set engine and the test-only helpers live under tests/oracles
+    assert len(torusclass.__all__) == len(SHIPPED) == 22
+    assert set(torusclass.__all__) == SHIPPED
+    for name in torusclass.__all__:
+        assert getattr(torusclass, name) is not None, name
+    assert importlib.util.find_spec("torusclass.gsets") is None
+    # a fresh interpreter that finds the package where this one did
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(torusclass.__file__)))
+    probe = "import torusclass, torusclass.cli, sys; print('torusclass.gsets' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    # the README's library quickstart runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

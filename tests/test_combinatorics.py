@@ -2,15 +2,9 @@
 
 import pytest
 
-from torusclass.combinatorics import (
-    compositions,
-    divisors,
-    is_prime_power,
-    multinomial,
-    partitions,
-    power_cycle_type,
-)
-from torusclass.gsets import cycle_type, perm_of_cycle_type
+from oracles.counting import compositions, multinomial
+from oracles.gsets import cycle_type, perm_of_cycle_type
+from torusclass.combinatorics import divisors, is_prime_power, partitions, power_cycle_type
 
 
 def _compositions_by_breakpoints(total):
@@ -159,3 +153,6 @@ def test_prime_powers_match_a_scan():
     for q in range(-2, 300):
         assert is_prime_power(q) == brute(q), q
     assert [q for q in range(2, 10) if is_prime_power(q)] == [2, 3, 4, 5, 7, 8, 9]
+    # only integers are field sizes: floats and bools are refused
+    for q in (2.0, 4.5, 8.0, 9.0, True):
+        assert not is_prime_power(q), q

@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from torusclass.combinatorics import compositions, multinomial, partitions
-from torusclass.cyclic import CyclicBurnside
-from torusclass.gsets import (
+from oracles.counting import compositions, multinomial
+from oracles.gsets import (
     FiniteGSet,
     cycle_type,
     cyclic_decomposition,
@@ -23,6 +22,8 @@ from torusclass.gsets import (
     tuple_set_permutation,
     with_single_generator,
 )
+from torusclass.combinatorics import partitions
+from torusclass.cyclic import CyclicBurnside
 
 
 def test_constructor_rejects_non_permutation():

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusclass.combinatorics import compositions, multinomial, partitions
-from torusclass.cyclic import CyclicBurnside
-from torusclass.gsets import (
+from oracles.counting import compositions, multinomial
+from oracles.gsets import (
     cyclic_decomposition,
     perm_of_cycle_type,
     power_tuple_set,
     tuple_set_permutation,
     with_single_generator,
 )
+from torusclass.combinatorics import partitions
+from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import (
     DEGREE_BOUND,
     SchurElement,

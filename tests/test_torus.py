@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusclass.combinatorics import compositions, partitions
+from oracles.counting import compositions, recursion_stratum_base
+from oracles.gsets import FiniteGSet, cycle_type, orbits, perm_of_cycle_type
+from torusclass.combinatorics import partitions
 from torusclass.cyclic import CyclicBurnside
-from torusclass.gsets import FiniteGSet, cycle_type, orbits, perm_of_cycle_type
 from torusclass.schur import restrict_to_cyclic, tuple_set_class
 from torusclass.torus import (
     AlgebraSpec,
@@ -24,7 +25,6 @@ from torusclass.torus import (
     class_via_universal,
     norm_one_class,
     point_count_oracle,
-    recursion_stratum_base,
     spec_class,
 )
 
@@ -179,13 +179,16 @@ def test_point_count_input_validation():
     tc = BENCHMARKS[(2,)]
     with pytest.raises(ValueError):
         tc.count_points(1, 1)
-    with pytest.raises(ValueError):
-        tc.count_points(2, 0)
+    for e in (0, True, 1.5):
+        with pytest.raises(ValueError):
+            tc.count_points(3, e)
+        with pytest.raises(ValueError):
+            point_count_oracle(AlgebraSpec((2,)), 3, e)
 
 
 def test_point_counts_need_a_field_size():
     tc = BENCHMARKS[(2,)]
-    for q in (0, 1, True, 6, 10, 12):
+    for q in (0, 1, True, 6, 10, 12, 4.5, 2.0):
         with pytest.raises(ValueError):
             tc.count_points(q, 1)
         with pytest.raises(ValueError):
