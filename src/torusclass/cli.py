@@ -9,9 +9,11 @@ marks   the fixed-point matrix of the degree-n tuple sets
 verify  cross-check all computation routes and the point-count oracle
 
 `lambda`, `rho` and `marks` take n up to the Schur ring's degree bound
-(schur.DEGREE_BOUND, 16).  With every route (`class --method all`,
-`verify`), the rho route is skipped above that bound and the other two
-must agree.
+(schur.DEGREE_BOUND, 16).  The routes are those of torus.ROUTES, and each
+checks its own domain.  A single-route `class` call outside it is a usage
+error.  With every route (`class --method all`, `verify`), a route outside
+its domain is skipped with the route's own reason, and at least two routes
+must answer and agree.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
@@ -24,21 +26,8 @@ import json
 import sys
 
 from .combinatorics import is_prime_power
-from .schur import DEGREE_BOUND, lambda_standard, mark_matrix, torus_coefficient
-from .torus import (
-    AlgebraSpec,
-    TorusClass,
-    class_via_lambda,
-    class_via_recursion,
-    class_via_universal,
-    point_count_oracle,
-)
-
-_METHODS = {
-    "lambda": class_via_lambda,
-    "rho": class_via_universal,
-    "recursion": class_via_recursion,
-}
+from .schur import lambda_standard, mark_matrix, torus_coefficient
+from .torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, point_count_oracle
 
 
 def _render_class(tc: TorusClass, fmt: str) -> str:
@@ -53,34 +42,35 @@ def _partition_key(lam) -> str:
     return ",".join(map(str, lam))
 
 
-def _all_routes(spec: AlgebraSpec) -> dict[str, TorusClass | None]:
-    """Every route's class of spec, or None for a route skipped because
+def _all_routes(spec: AlgebraSpec) -> dict[str, TorusClass | OutsideDomain]:
+    """Every route's class of spec, or the OutsideDomain it raised when
     spec is outside its domain.  At least two routes must answer."""
-    results = {
-        name: None if name == "rho" and spec.n > DEGREE_BOUND else fn(spec)
-        for name, fn in _METHODS.items()
-    }
-    if sum(tc is not None for tc in results.values()) < 2:
+    results: dict[str, TorusClass | OutsideDomain] = {}
+    for name, route in ROUTES.items():
+        try:
+            results[name] = route(spec)
+        except OutsideDomain as skip:
+            results[name] = skip
+    if sum(isinstance(tc, TorusClass) for tc in results.values()) < 2:
         raise ValueError(f"fewer than two routes can answer for partition ({spec})")
     return results
-
-
-def _skipped_line(name: str) -> str:
-    return f"{name}: skipped (n > {DEGREE_BOUND})"
 
 
 def cmd_class(args) -> int:
     spec = AlgebraSpec.parse(args.partition)
     if args.method != "all":
-        tc = _METHODS[args.method](spec)
+        tc = ROUTES[args.method](spec)
         print(_render_class(tc, args.format))
         return 0
     results = _all_routes(spec)
     reference = results["lambda"]
-    agree = all(tc in (None, reference) for tc in results.values())
+    agree = all(isinstance(tc, OutsideDomain) or tc == reference for tc in results.values())
     if args.format == "text":
         for name, tc in results.items():
-            print(_skipped_line(name) if tc is None else f"{name + ':':<11}{tc.text()}")
+            if isinstance(tc, OutsideDomain):
+                print(f"{name}: skipped ({tc})")
+            else:
+                print(f"{name + ':':<11}{tc.text()}")
         print("AGREE" if agree else "DISAGREE")
     else:
         print(_render_class(reference, args.format))
@@ -159,8 +149,8 @@ def cmd_verify(args) -> int:
     reference = results["lambda"]
     failures = 0
     for name, tc in results.items():
-        if tc is None:
-            print(_skipped_line(name))
+        if isinstance(tc, OutsideDomain):
+            print(f"{name}: skipped ({tc})")
         elif tc != reference:
             print(f"method {name} disagrees with lambda: {tc.text()} vs {reference.text()}")
             failures += 1
@@ -191,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_class = sub.add_parser("class", help="compute the unit-torus class")
     p_class.add_argument("--partition", required=True, help="factor degrees, e.g. 2,2")
-    p_class.add_argument("--method", choices=[*_METHODS, "all"], default="lambda")
+    p_class.add_argument("--method", choices=[*ROUTES, "all"], default="lambda")
     p_class.add_argument("--format", choices=["text", "json", "latex"], default="text")
     p_class.set_defaults(func=cmd_class)
 

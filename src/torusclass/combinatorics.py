@@ -13,6 +13,12 @@ Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 
 
+def _check_positive(name: str, value) -> None:
+    """Reject anything but a positive int; a bool is not an int here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name}={value!r} is not a positive integer")
+
+
 def partitions(n: int) -> list[Partition]:
     """Weakly decreasing tuples of positive integers summing to n.
 
@@ -41,8 +47,7 @@ def power_cycle_type(lam: Partition, e: int) -> Partition:
     A cycle of length c falls apart into gcd(c, e) cycles of length
     c / gcd(c, e).
     """
-    if e < 1:
-        raise ValueError("exponent must be positive")
+    _check_positive("e", e)
     if any(c < 1 for c in lam):
         raise ValueError("cycle lengths must be positive")
     out: list[int] = []
@@ -60,8 +65,7 @@ def divisors(n: int) -> list[int]:
     prime factor of n rather than by n: for the lcm of orbit sizes up to
     m, that is at most m steps.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"{n!r} is not a positive integer")
+    _check_positive("n", n)
     out = [1]
     p = 2
     while p * p <= n:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import ItemsView, Mapping
 
-from .combinatorics import divisors
+from .combinatorics import _check_positive, divisors
 from .series import invariant_multiset_counts, lambda_from_sigma
 
 
@@ -136,8 +136,7 @@ class CyclicBurnside:
     def mark(self, e: int) -> int:
         """Fixed points of the e-th power of the generator: only orbits
         whose size divides e contribute, each with all its points."""
-        if e < 1:
-            raise ValueError("mark exponent must be positive")
+        _check_positive("e", e)
         return sum(k * c for k, c in self._coeffs.items() if e % k == 0)
 
     @classmethod
@@ -172,15 +171,13 @@ class CyclicBurnside:
 
     def induce(self, d: int) -> "CyclicBurnside":
         """Additive induction along the index-d subgroup: [k] -> [d k]."""
-        if d < 1:
-            raise ValueError("induction index must be positive")
+        _check_positive("d", d)
         return CyclicBurnside({d * k: c for k, c in self._coeffs.items()})
 
     def base_change(self, d: int) -> "CyclicBurnside":
         """Restriction to the index-d subgroup:
         [k] -> gcd(d, k) [k / gcd(d, k)]."""
-        if d < 1:
-            raise ValueError("restriction index must be positive")
+        _check_positive("d", d)
         out: dict[int, int] = {}
         for k, c in self._coeffs.items():
             g = math.gcd(d, k)

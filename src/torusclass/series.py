@@ -50,17 +50,13 @@ def lambda_from_sigma(sigmas: Sequence) -> list:
     sigmas = list(sigmas)
     if not sigmas:
         raise ValueError("need at least the constant symmetric power")
-    one = sigmas[0]
-    lams = [one]
+    lams = [sigmas[0]]
     for k in range(1, len(sigmas)):
-        acc = None
-        for i in range(k):
-            term = lams[i] * sigmas[k - i]
-            if i % 2 == 1:
-                term = one - one - term
-            acc = term if acc is None else acc + term
-        if k % 2 == 0:
-            acc = one - one - acc
-        lams.append(acc)
+        acc = lams[0] * sigmas[k]
+        for i in range(1, k):
+            if i % 2:
+                acc = acc - lams[i] * sigmas[k - i]
+            else:
+                acc = acc + lams[i] * sigmas[k - i]
+        lams.append(acc if k % 2 else -acc)
     return lams
-

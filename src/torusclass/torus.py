@@ -12,14 +12,18 @@ independent, is a monic polynomial
 with each a_i an integer combination of classes of finite field
 extensions, modelled by CyclicBurnside elements via [k] = [Spec F_{q^k}].
 
-Three independent computations of this polynomial are provided:
+Three independent computations of this polynomial are provided, each an
+AlgebraSpec -> TorusClass function listed once in ROUTES by its CLI name;
+a route with a bounded domain checks it and raises OutsideDomain, with
+the reason, before doing any work:
 
 * class_via_lambda: a_i = (-1)^i lambda^i of the class of Spec L, with
   the alternating powers computed mark by mark in the procyclic Burnside
   ring, at the divisors of the lcm of the factor degrees;
 * class_via_universal: a_i is the restriction, along the Frobenius cycle
   type, of a universal element of the symmetric-group Burnside subring
-  built from an alternating sum over compositions of i;
+  built from an alternating sum over compositions of i; its domain is
+  n <= schur.DEGREE_BOUND;
 * class_via_recursion: a direct stratification of affine n-space over
   the base, peeling off loci by the size of their vanishing set within
   each fiber, computed on isomorphism types of fibered pieces: each
@@ -27,9 +31,10 @@ Three independent computations of this polynomial are provided:
   one fiber, grouped by how many points they take from each cycle length
   of its return map (_stratum_types); a return map with cycles of several
   lengths is factored into isotypic blocks, one per length, whose unit
-  classes multiply, so only isotypic types are stratified; the unit class
-  is memoized per return-map cycle type, a piece over a larger base orbit
-  being induced from it.
+  classes multiply by TorusClass.__mul__, the one product of polynomials
+  in L, so only isotypic types are stratified; the TorusClass is memoized
+  per return-map cycle type, a piece over a larger base orbit being
+  induced from it.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -41,20 +46,19 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from typing import Mapping, Sequence
 
-from .combinatorics import Partition, divisors, is_prime_power
+from .combinatorics import Partition, _check_positive, divisors, is_prime_power
 from .cyclic import CyclicBurnside
-from .schur import restrict_to_cyclic, torus_coefficient
+from .schur import DEGREE_BOUND, restrict_to_cyclic, torus_coefficient
 
 
 def _check_extension(q: int, e: int) -> None:
     if not is_prime_power(q):
         raise ValueError(f"q={q!r} is not a prime power, so no field has q elements")
-    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-        raise ValueError(f"e={e!r} is not a positive integer")
+    _check_positive("e", e)
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,19 @@ class TorusClass:
         return hash((self.n, self.coeffs))
 
     def __mul__(self, other: "TorusClass") -> "TorusClass":
+        """Product of polynomials in L, accumulated on orbit-size dicts:
+        the orbits multiply as [a] * [b] = gcd(a, b) [lcm(a, b)]."""
         if not isinstance(other, TorusClass):
             return NotImplemented
-        n = self.n + other.n
-        out = [CyclicBurnside.ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TorusClass(n, out)
+        out: list[dict[int, int]] = [{} for _ in range(self.n + other.n + 1)]
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                acc = out[i + j]
+                for kx, cx in x.terms():
+                    for ky, cy in y.terms():
+                        k = math.lcm(kx, ky)
+                        acc[k] = acc.get(k, 0) + cx * cy * math.gcd(kx, ky)
+        return TorusClass(self.n + other.n, [CyclicBurnside(c) for c in out])
 
     def count_points(self, q: int, e: int) -> int:
         """Number of points over the degree-e extension of a q-element
@@ -263,10 +272,18 @@ def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
     return TorusClass(n, coeffs)
 
 
+class OutsideDomain(ValueError):
+    """A route was asked for an input outside the domain it handles; the
+    message is the reason, such as "n > 16"."""
+
+
 def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     """Universal-coefficient route: restrict the degree-n universal
-    coefficients along the Frobenius cycle type."""
+    coefficients along the Frobenius cycle type.  Its domain is the
+    Schur ring's degree bound."""
     n = spec.n
+    if n > DEGREE_BOUND:
+        raise OutsideDomain(f"n > {DEGREE_BOUND}")
     coeffs = [CyclicBurnside.ONE]
     for i in range(1, n + 1):
         coeffs.append(restrict_to_cyclic(torus_coefficient(n, i), spec.parts))
@@ -356,72 +373,58 @@ def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], i
     return tuple(tuple(sorted(counts.items(), reverse=True)) for counts in strata)
 
 
-def _times_class(
-    poly: list[dict[int, int]], factor: Sequence[CyclicBurnside]
-) -> list[dict[int, int]]:
-    """Product of two polynomials in L, coefficients by ascending power:
-    poly's as orbit-size -> multiplicity dicts, factor's as classes; the
-    orbits multiply as [a] * [b] = gcd(a, b) [lcm(a, b)]."""
-    out: list[dict[int, int]] = [{} for _ in range(len(poly) + len(factor) - 1)]
-    for i, x in enumerate(poly):
-        for j, y in enumerate(factor):
-            acc = out[i + j]
-            for kx, cx in x.items():
-                for ky, cy in y.terms():
-                    k = math.lcm(kx, ky)
-                    acc[k] = acc.get(k, 0) + cx * cy * math.gcd(kx, ky)
-    return out
-
-
 @cache
-def _units_of_type(tau: Partition) -> tuple[CyclicBurnside, ...]:
+def _units_of_type(tau: Partition) -> TorusClass:
     """Class of the unit scheme of a fibered piece over a single point
     whose return map on the fiber has cycle type tau: a rank-r algebra
-    with r = sum(tau).  Coefficients by ascending Lefschetz power.
+    with r = sum(tau).
 
     The algebra is the product of one factor per distinct cycle length t,
     of type (t,) * a_t.  The units of a product are the product of the
-    units, so a mixed type is the product, as polynomials in L, of its
-    isotypic blocks, each kept whole.  An isotypic type is stratified:
-    affine r-space splits into the units, the strata with vanishing set of
-    size 1..r-1, and the zero section:
+    units, so a mixed type is the product of the classes of its isotypic
+    blocks, each kept whole.  An isotypic type is stratified: affine
+    r-space splits into the units, the strata with vanishing set of size
+    1..r-1, and the zero section:
 
         [units] = L^r - sum_i [units(stratum_i)] - 1.
 
     A stratum component of type (m, tau') lies over an m-orbit, so it is
     induced from the index-m subgroup, which sends [k] to [m k] in every
-    coefficient of the class of type tau'; tau' is again isotypic.  Rank 0
-    is the zero algebra, whose unit scheme is the point.
+    coefficient of the class of type tau'; tau' is again isotypic, of rank
+    r - i in stratum i.  Rank 0 is the zero algebra, whose unit scheme is
+    the point.
     """
     r = sum(tau)
     if r == 0:
-        return (CyclicBurnside.ONE,)
-    # orbit-size -> multiplicity per Lefschetz power
-    poly: list[dict[int, int]]
+        return TorusClass(0, (CyclicBurnside.ONE,))
     lengths = Counter(tau)
     if len(lengths) > 1:
-        poly = [{1: 1}]
-        for t, a in lengths.items():
-            poly = _times_class(poly, _units_of_type((t,) * a))
-        return tuple(CyclicBurnside(p) for p in poly)
-    poly = [{} for _ in range(r + 1)]
-    poly[r][1] = 1
-    poly[0][1] = -1
+        return reduce(TorusClass.__mul__, (_units_of_type((t,) * a) for t, a in lengths.items()))
+    # orbit-size -> multiplicity per coefficient, L^r first
+    poly: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    poly[0][1] = 1
+    poly[r][1] = -1
     strata = _stratum_types(tau)
     for i in range(1, r):
         for (m, rest), count in strata[i]:
-            for j, c in enumerate(_units_of_type(rest)):
+            for j, c in enumerate(_units_of_type(rest).coeffs, i):
                 acc = poly[j]
                 for k, v in c.terms():
                     acc[m * k] = acc.get(m * k, 0) - count * v
-    return tuple(CyclicBurnside(p) for p in poly)
+    return TorusClass(r, [CyclicBurnside(p) for p in poly])
 
 
 def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     """Stratification route: peel affine n-space over the point down to
     the units, recursing into each stratum.  Over the point, the return
     map on the single fiber is Frobenius, of cycle type spec.parts."""
-    n = spec.n
-    poly = _units_of_type(spec.parts)
-    return TorusClass(n, tuple(poly[n - i] for i in range(n + 1)))
+    return _units_of_type(spec.parts)
 
+
+# The routes by CLI name.  Each takes an AlgebraSpec and returns its
+# TorusClass, or raises OutsideDomain before doing any work.
+ROUTES = {
+    "lambda": class_via_lambda,
+    "rho": class_via_universal,
+    "recursion": class_via_recursion,
+}

@@ -12,7 +12,7 @@ import pytest
 import torusclass
 from torusclass.cli import main
 from torusclass.schur import DEGREE_BOUND
-from torusclass.torus import AlgebraSpec, TorusClass, class_via_lambda
+from torusclass.torus import ROUTES, AlgebraSpec, TorusClass, class_via_lambda
 
 
 def _run(capsys, argv):
@@ -120,6 +120,24 @@ def test_all_routes_skip_rho_past_its_degree_bound(capsys):
     assert code == 0
     assert skipped in out
     assert "PASS" in out
+
+
+def test_single_route_outside_its_domain_exits_2_with_its_reason(capsys):
+    code, out, err = _run(capsys, ["class", "--partition", "17", "--method", "rho"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: n > 16\n"
+
+
+def test_a_route_fault_is_not_a_skip(capsys, monkeypatch):
+    def faulty(spec):
+        raise ValueError("route fault")
+
+    monkeypatch.setitem(ROUTES, "rho", faulty)
+    code, out, err = _run(capsys, ["class", "--partition", "3", "--method", "all"])
+    assert code == 2
+    assert "skipped" not in out
+    assert err == "error: route fault\n"
 
 
 def test_missing_required_flag_exits_2():

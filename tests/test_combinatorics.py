@@ -130,8 +130,9 @@ def test_power_cycle_type_matches_permutation_powers():
 
 
 def test_power_cycle_type_bad_input():
-    with pytest.raises(ValueError):
-        power_cycle_type((2,), 0)
+    for bad in (0, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            power_cycle_type((4,), bad)
     with pytest.raises(ValueError):
         power_cycle_type((0,), 1)
 
@@ -140,7 +141,7 @@ def test_divisors_match_a_scan():
     for n in range(1, 400):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     assert len(divisors(30030)) == 64
-    for bad in (0, -4, True, 2.0):
+    for bad in (0, -4, True, 2.0, 1.5):
         with pytest.raises(ValueError):
             divisors(bad)
 

@@ -62,8 +62,9 @@ def test_mark_examples():
     assert x.mark(2) == 4
     assert x.mark(1) == 0
     assert CyclicBurnside.orbit(3).mark(6) == 3
-    with pytest.raises(ValueError):
-        x.mark(0)
+    for bad in (0, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            x.mark(bad)
 
 
 def test_marks_are_ring_homomorphisms():
@@ -112,6 +113,9 @@ def test_induce_examples():
     assert two.induce(3) == CyclicBurnside.orbit(6)
     assert (two + 2).induce(2) == CyclicBurnside({4: 1, 2: 2})
     assert two.induce(1) == two
+    for bad in (0, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            two.induce(bad)
 
 
 def test_induce_matches_coset_construction():
@@ -133,6 +137,9 @@ def test_base_change_examples():
     assert CyclicBurnside.orbit(3).base_change(2) == CyclicBurnside.orbit(3)
     assert CyclicBurnside.orbit(2).base_change(2) == CyclicBurnside({1: 2})
     assert CyclicBurnside.orbit(12).base_change(8) == CyclicBurnside({3: 4})
+    for bad in (0, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            CyclicBurnside.orbit(2).base_change(bad)
 
 
 def test_base_change_is_a_ring_map():

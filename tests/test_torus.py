@@ -139,6 +139,28 @@ def test_squaring_the_quadratic_class():
     assert BENCHMARKS[(2, 2)] == BENCHMARKS[(2,)] * BENCHMARKS[(2,)]
 
 
+def _object_product(x, y):
+    """Reference product of polynomials in L, one CyclicBurnside product
+    and sum per pair of coefficients."""
+    n = x.n + y.n
+    out = [CyclicBurnside.ZERO] * (n + 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return TorusClass(n, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10).flatmap(lambda n: st.sampled_from(partitions(n))),
+    st.integers(0, 10).flatmap(lambda n: st.sampled_from(partitions(n))),
+    st.sampled_from(ROUTES),
+)
+def test_product_matches_the_coefficientwise_reference(p1, p2, route):
+    x, y = route(AlgebraSpec(p1)), route(AlgebraSpec(p2))
+    assert x * y == _object_product(x, y)
+
+
 def test_monicity_enforced():
     with pytest.raises(ValueError):
         TorusClass(1, (CyclicBurnside.orbit(2), CyclicBurnside.ONE))
@@ -434,7 +456,9 @@ def _units_over_orbit(b, tau):
 def test_units_of_type_is_induced_along_the_base_orbit(tau, b):
     # a piece over a b-orbit is induced from the index-b subgroup, which
     # sends [k] to [b k] in every coefficient
-    assert _units_over_orbit(b, tau) == tuple(c.induce(b) for c in _units_of_type(tau))
+    assert _units_over_orbit(b, tau) == tuple(
+        c.induce(b) for c in reversed(_units_of_type(tau).coeffs)
+    )
 
 
 @cache
