@@ -48,8 +48,8 @@ def power_cycle_type(lam: Partition, e: int) -> Partition:
     c / gcd(c, e).
     """
     _check_positive("e", e)
-    if any(c < 1 for c in lam):
-        raise ValueError("cycle lengths must be positive")
+    for c in lam:
+        _check_positive("part", c)
     out: list[int] = []
     for c in lam:
         g = math.gcd(c, e)

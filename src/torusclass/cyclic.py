@@ -22,6 +22,12 @@ cycles (its base change along d), and the invariant multisets of a
 permutation are counted by an integer series, virtual elements included;
 alternating powers follow from the integer series recursion at each
 divisor.  Nothing is materialized.
+
+Every route pulls marks back the same way, through one kernel
+(_from_mark_list): the marks at the divisors of L are a zeta transform of
+the orbit counts over the divisor lattice, inverted by a Moebius transform
+one prime of L at a time.  For D divisors and omega distinct primes that
+costs O(D * omega) rather than the O(D^2) of solving divisor by divisor.
 """
 
 from __future__ import annotations
@@ -144,10 +150,11 @@ class CyclicBurnside:
         """Recover an element from its marks {d: mark(d)} at exactly the
         divisors d of an order L, the largest key.
 
-        Inverts fix(d) = sum_{k | d} k a_k over the divisors by increasing
-        d.  Marks of any element whose orbit sizes divide L round-trip
+        Marks of any element whose orbit sizes divide L round-trip
         exactly; a missing or extra key is rejected, and so is an
         inconsistent vector, which shows up as a non-integral division.
+        The inversion is _from_mark_list, at a cost of O(D * omega) for D
+        divisors and omega distinct primes of L.
         """
         if not fix:
             raise ValueError("mark vector is empty")
@@ -160,13 +167,43 @@ class CyclicBurnside:
                 f"marks must be keyed by the divisors of {order}: "
                 f"missing {missing}, extra {extra}"
             )
+        return cls._from_mark_list(divs, [fix[d] for d in divs])
+
+    @classmethod
+    def _from_mark_list(cls, divs: list[int], values: list[int]) -> "CyclicBurnside":
+        """The kernel of from_marks, for callers that built the ascending
+        divisor list of the order L themselves: values[j] is the mark at
+        divs[j], and no key is checked.
+
+        The marks are fix(d) = sum_{k | d} g(k) with g(k) = k a_k, a zeta
+        transform over the divisor lattice.  It is inverted one prime p of
+        L at a time, g(d) -= g(d / p) over the divisors in decreasing
+        order.  The primes are the divisors that divide the still
+        unfactored rest of L, taken in ascending order.  g(d) is then the
+        numerator that an inversion by increasing d would meet, so a
+        vector with a non-integral a_d is rejected at the same first d.
+        """
+        g = list(values)
+        position = {d: j for j, d in enumerate(divs)}
+        rest = divs[-1]
+        for p in divs[1:]:
+            if rest == 1:
+                break
+            if rest % p:
+                continue
+            while rest % p == 0:
+                rest //= p
+            for j in range(len(divs) - 1, 0, -1):
+                d = divs[j]
+                if d % p == 0:
+                    g[j] -= g[position[d // p]]
         coeffs: dict[int, int] = {}
-        for d in divs:
-            num = fix[d] - sum(k * c for k, c in coeffs.items() if d % k == 0)
-            if num % d != 0:
+        for d, num in zip(divs, g):
+            a, remainder = divmod(num, d)
+            if remainder:
                 raise ValueError(f"mark vector is inconsistent at exponent {d}")
-            if num:
-                coeffs[d] = num // d
+            if a:
+                coeffs[d] = a
         return cls(coeffs)
 
     def induce(self, d: int) -> "CyclicBurnside":
@@ -201,9 +238,11 @@ class CyclicBurnside:
         """Alternating powers lambda^0..lambda^truncation, from their marks:
         at each divisor the integer sigma marks are converted by the
         series recursion."""
-        series = {d: lambda_from_sigma(s) for d, s in self._sigma_marks(truncation).items()}
+        marks = self._sigma_marks(truncation)
+        divs = list(marks)
+        series = [lambda_from_sigma(s) for s in marks.values()]
         return [
-            self.from_marks({d: lams[j] for d, lams in series.items()})
+            self._from_mark_list(divs, [lams[j] for lams in series])
             for j in range(truncation + 1)
         ]
 

@@ -28,9 +28,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .combinatorics import Composition, Partition, divisors, partitions, power_cycle_type
+from .combinatorics import (
+    Composition,
+    Partition,
+    _check_positive,
+    divisors,
+    partitions,
+    power_cycle_type,
+)
 from .cyclic import CyclicBurnside
 from .series import invariant_multiset_counts, lambda_from_sigma
 
@@ -46,7 +53,9 @@ def _check_degree(n) -> None:
 
 def _check_partition(n: int, lam) -> Partition:
     lam = tuple(lam)
-    if sum(lam) != n or any(p < 1 for p in lam):
+    for p in lam:
+        _check_positive("part", p)
+    if sum(lam) != n:
         raise ValueError(f"{lam!r} is not a partition of {n}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"{lam!r} is not weakly decreasing")
@@ -323,7 +332,8 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
             orderings //= math.factorial(m)
         mu = kappa if i == n else tuple(sorted(kappa + (n - i,), reverse=True))
         basis[mu] = basis.get(mu, 0) + (-1) ** len(kappa) * orderings
-    return SchurElement.from_basis(n, basis)
+    # the keys are partitions of n by construction, and no entry is zero
+    return SchurElement(n, basis)
 
 
 def lambda_standard(n: int, i: int) -> SchurElement:
@@ -349,9 +359,26 @@ def restrict_to_cyclic(x: SchurElement, lam) -> CyclicBurnside:
 
     The restricted action has orbit sizes dividing lcm(lam), which can
     exceed n, so marks are taken at every divisor of lcm(lam) before
-    inverting.
+    inverting.  This is the one-element case of _restrictions.
     """
-    lam = _check_partition(x.n, lam)
-    return CyclicBurnside.from_marks(
-        {d: x.mark(power_cycle_type(lam, d)) for d in divisors(math.lcm(*lam))}
-    )
+    return _restrictions(x.n, [x], lam)[0]
+
+
+def _restrictions(n: int, xs: Sequence[SchurElement], lam) -> list[CyclicBurnside]:
+    """Restrictions of the degree-n elements xs along the generator acting
+    with cycle type lam, in one pass.
+
+    lam is checked once, and the cycle type of the d-th power of the
+    generator is computed once per divisor d of lcm(lam).  Each element's
+    mark is then taken once per distinct type and pulled back by the mark
+    kernel over that one divisor list.
+    """
+    lam = _check_partition(n, lam)
+    divs = divisors(math.lcm(*lam))
+    types = [power_cycle_type(lam, d) for d in divs]
+    distinct = dict.fromkeys(types)
+    out = []
+    for x in xs:
+        marks = {t: x._mark(t) for t in distinct}
+        out.append(CyclicBurnside._from_mark_list(divs, [marks[t] for t in types]))
+    return out

@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .combinatorics import Partition, _check_positive, divisors, is_prime_power
 from .cyclic import CyclicBurnside
-from .schur import DEGREE_BOUND, restrict_to_cyclic, torus_coefficient
+from .schur import DEGREE_BOUND, _restrictions, torus_coefficient
 
 
 def _check_extension(q: int, e: int) -> None:
@@ -61,10 +60,10 @@ def _check_extension(q: int, e: int) -> None:
     _check_positive("e", e)
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
     """Degrees of the field factors of a separable algebra, sorted
-    descending.  The empty tuple is the zero algebra (n = 0)."""
+    descending.  The empty tuple is the zero algebra (n = 0).  Immutable,
+    compared and hashed by its parts."""
 
     parts: tuple[int, ...]
 
@@ -73,6 +72,23 @@ class AlgebraSpec:
         if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError("factor degrees must be positive integers")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AlgebraSpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"AlgebraSpec(parts={self.parts!r})"
 
     @property
     def n(self) -> int:
@@ -188,8 +204,7 @@ class TorusClass:
         return f"TorusClass(n={self.n}, {self.text()!r})"
 
 
-@dataclass(frozen=True)
-class _Dialect:
+class _Dialect(NamedTuple):
     field: str  # template with {k}, the class of the degree-k extension
     lefschetz: str
     times: str
@@ -279,15 +294,13 @@ class OutsideDomain(ValueError):
 
 def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     """Universal-coefficient route: restrict the degree-n universal
-    coefficients along the Frobenius cycle type.  Its domain is the
-    Schur ring's degree bound."""
+    coefficients along the Frobenius cycle type, all in one pass.  Its
+    domain is the Schur ring's degree bound."""
     n = spec.n
     if n > DEGREE_BOUND:
         raise OutsideDomain(f"n > {DEGREE_BOUND}")
-    coeffs = [CyclicBurnside.ONE]
-    for i in range(1, n + 1):
-        coeffs.append(restrict_to_cyclic(torus_coefficient(n, i), spec.parts))
-    return TorusClass(n, coeffs)
+    rhos = [torus_coefficient(n, i) for i in range(1, n + 1)]
+    return TorusClass(n, [CyclicBurnside.ONE, *_restrictions(n, rhos, spec.parts)])
 
 
 def norm_one_class(spec: AlgebraSpec) -> TorusClass:
@@ -339,11 +352,11 @@ def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], i
     of length t / g, g = gcd(d, t), and fixes a subset exactly when it is a
     union of them, so the fixed subsets of a group number
     prod_t C(a_t g, s_t g / t), or 0 when t does not divide s_t g.  From
-    these marks, CyclicBurnside.from_marks gives the number of orbits of
-    each length m.  An orbit of length m gives a component of type
-    (m, tau'): tau' is the cycle type of sigma^m, the new return map, on
-    the complement, which is again a union of those cycles for d = m.  No
-    subset is enumerated.
+    these marks, the mark kernel CyclicBurnside._from_mark_list gives the
+    number of orbits of each length m.  An orbit of length m gives a
+    component of type (m, tau'): tau' is the cycle type of sigma^m, the
+    new return map, on the complement, which is again a union of those
+    cycles for d = m.  No subset is enumerated.
     """
     lengths = sorted(Counter(tau).items(), reverse=True)
     strata: list[dict[tuple[int, Partition], int]] = [{} for _ in range(sum(tau) + 1)]
@@ -352,8 +365,9 @@ def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], i
         # a block taken wholly or not at all is fixed by every power of
         # sigma: it adds a factor 1 to each mark and nothing to the order
         partial = [(t, a, s) for (t, a), s in blocks if 0 < s < a * t]
-        marks = {}
-        for d in divisors(math.lcm(*(t for t, _, _ in partial))):
+        divs = divisors(math.lcm(*(t for t, _, _ in partial)))
+        marks = []
+        for d in divs:
             fixed = 1
             for t, a, s in partial:
                 g = math.gcd(d, t)
@@ -361,9 +375,9 @@ def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], i
                     fixed = 0
                     break
                 fixed *= math.comb(a * g, s * g // t)
-            marks[d] = fixed
+            marks.append(fixed)
         counts = strata[sum(picks)]
-        for m, orbits in CyclicBurnside.from_marks(marks).coeffs.items():
+        for m, orbits in CyclicBurnside._from_mark_list(divs, marks).terms():
             rest: list[int] = []
             for (t, a), s in blocks:
                 g = math.gcd(m, t)

@@ -244,3 +244,25 @@ def test_package_ships_only_the_routes():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # importing the package and its CLI stays cheap: neither module (nor
+    # the ast, dis and tokenize that inspect pulls in) is loaded on the way
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(torusclass.__file__)))
+    probe = (
+        "import sys; before = set(sys.modules); import torusclass, torusclass.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    spec = AlgebraSpec((1, 2))
+    assert spec == AlgebraSpec([2, 1]) and hash(spec) == hash(AlgebraSpec((2, 1)))
+    assert spec != (2, 1) and repr(spec) == "AlgebraSpec(parts=(2, 1))"
+    with pytest.raises(AttributeError):
+        spec.parts = (3,)
+    with pytest.raises(AttributeError):
+        del spec.parts

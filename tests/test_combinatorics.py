@@ -133,8 +133,11 @@ def test_power_cycle_type_bad_input():
     for bad in (0, True, 2.0, 1.5):
         with pytest.raises(ValueError):
             power_cycle_type((4,), bad)
-    with pytest.raises(ValueError):
-        power_cycle_type((0,), 1)
+    # cycle lengths are positive ints too: a bool or a float is refused,
+    # not read as 1 or passed on to math.gcd
+    for lam in ((0,), (True, 1), (2.0,), (1.5, 0.5), (3, -1)):
+        with pytest.raises(ValueError):
+            power_cycle_type(lam, 2)
 
 
 def test_divisors_match_a_scan():

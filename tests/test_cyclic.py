@@ -108,6 +108,68 @@ def test_from_marks_inverts_marks():
         assert CyclicBurnside.from_marks(_marks_at_divisors(x, 2 * order)) == x
 
 
+def _from_marks_by_increasing_divisor(fix):
+    # the O(D^2) inversion that the mark kernel replaced, kept as an oracle
+    coeffs = {}
+    for d in sorted(fix):
+        num = fix[d] - sum(k * c for k, c in coeffs.items() if d % k == 0)
+        if num % d != 0:
+            raise ValueError(f"mark vector is inconsistent at exponent {d}")
+        if num:
+            coeffs[d] = num // d
+    return CyclicBurnside(coeffs)
+
+
+def _outcome(invert, *args):
+    try:
+        return invert(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# orbit sizes up to 30, so that orders reach several primes and hundreds
+# of divisors
+wide_elements = st.dictionaries(
+    st.integers(1, 30), st.integers(-3, 3), max_size=5
+).map(CyclicBurnside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_elements, st.integers(1, 12))
+def test_mark_kernel_matches_the_quadratic_inversion(x, multiple):
+    order = math.lcm(*x.coeffs) * multiple
+    divs = divisors(order)
+    fix = _marks_at_divisors(x, order)
+    got = CyclicBurnside._from_mark_list(divs, [fix[d] for d in divs])
+    assert got == _from_marks_by_increasing_divisor(fix) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_elements, st.data())
+def test_mark_kernel_rejects_at_the_same_exponent(x, data):
+    order = math.lcm(*x.coeffs) * data.draw(st.integers(1, 6))
+    divs = divisors(order)
+    fix = _marks_at_divisors(x, order)
+    d = data.draw(st.sampled_from(divs))
+    fix[d] += data.draw(st.integers(-5, 5).filter(bool))
+    expected = _outcome(_from_marks_by_increasing_divisor, fix)
+    assert _outcome(CyclicBurnside._from_mark_list, divs, [fix[d] for d in divs]) == expected
+    assert _outcome(CyclicBurnside.from_marks, fix) == expected
+
+
+def test_inconsistent_marks_name_the_first_bad_exponent():
+    fix = _marks_at_divisors(CyclicBurnside.orbit(2), 12)
+    fix[4] += 2  # also breaks the solve at 12, which comes later
+    with pytest.raises(ValueError, match=r"^mark vector is inconsistent at exponent 4$"):
+        CyclicBurnside.from_marks(fix)
+    fix = _marks_at_divisors(CyclicBurnside.orbit(2), 12)
+    fix[12] += 1
+    with pytest.raises(ValueError, match=r"^mark vector is inconsistent at exponent 12$"):
+        CyclicBurnside.from_marks(fix)
+    with pytest.raises(ValueError, match=r"^mark vector is inconsistent at exponent 2$"):
+        CyclicBurnside._from_mark_list([1, 2, 3, 6], [0, 1, 0, 1])
+
+
 def test_induce_examples():
     two = CyclicBurnside.orbit(2)
     assert two.induce(3) == CyclicBurnside.orbit(6)

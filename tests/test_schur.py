@@ -283,6 +283,18 @@ def test_restriction_matches_concrete_orbit_scan():
                     assert restrict_to_cyclic(tuple_set_class(n, comp), lam) == concrete
 
 
+def test_cycle_types_must_have_positive_integer_parts():
+    # (True, 1) would read as (1, 1) and (2.0,) would reach math.lcm
+    unit = SchurElement.unit(2)
+    for lam in ((True, 1), (2.0,), (1.5, 0.5), (3, -1), (0, 2)):
+        with pytest.raises(ValueError):
+            unit.mark(lam)
+        with pytest.raises(ValueError):
+            restrict_to_cyclic(unit, lam)
+    with pytest.raises(ValueError):
+        SchurElement.from_basis(2, {(True, True): 1})
+
+
 def test_restriction_can_produce_orbits_larger_than_n():
     # a (3,2)-cycle acting on pairs-of-pairs reaches orbit size 6 > 5
     x = tuple_set_class(5, (2, 2, 1))

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from oracles.counting import compositions, recursion_stratum_base
 from oracles.gsets import FiniteGSet, cycle_type, orbits, perm_of_cycle_type
-from torusclass.combinatorics import partitions
+from torusclass.combinatorics import divisors, partitions, power_cycle_type
 from torusclass.cyclic import CyclicBurnside
-from torusclass.schur import restrict_to_cyclic, tuple_set_class
+from torusclass.schur import restrict_to_cyclic, torus_coefficient, tuple_set_class
 from torusclass.torus import (
     AlgebraSpec,
     TorusClass,
@@ -257,6 +257,35 @@ def test_lambda_and_norm_one_routes_at_large_n():
             for e in range(1, 4):
                 assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
         assert l_minus_1 * norm_one_class(spec) == tc
+
+
+def test_lambda_route_at_256_divisors():
+    # eight fields of prime degree: lcm 9,699,690 has 2^8 divisors, a
+    # size where inverting marks divisor by divisor used to dominate
+    parts = (19, 17, 13, 11, 7, 5, 3, 2)
+    assert len(divisors(math.lcm(*parts))) == 256
+    spec = AlgebraSpec(parts)
+    tc = class_via_lambda(spec)
+    assert tc.char_poly() == char_poly_oracle(spec)
+    for q in (2, 3, 4):
+        for e in (1, 2, 3):
+            assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
+
+
+def test_one_restriction_pass_matches_one_call_per_coefficient():
+    # the rho route restricts all n universal coefficients in one pass;
+    # each must equal its own restriction, and the per-divisor form that
+    # the pass replaced, on all 271 partitions of n <= 12
+    for n in range(1, 13):
+        rhos = [torus_coefficient(n, i) for i in range(1, n + 1)]
+        for parts in partitions(n):
+            divs = divisors(math.lcm(*parts))
+            got = class_via_universal(AlgebraSpec(parts)).coeffs
+            assert len(got) == n + 1
+            for rho, coeff in zip(rhos, got[1:]):
+                assert coeff == restrict_to_cyclic(rho, parts)
+                marks = {d: rho.mark(power_cycle_type(parts, d)) for d in divs}
+                assert coeff == CyclicBurnside.from_marks(marks)
 
 
 def test_recursion_route_at_large_n():
