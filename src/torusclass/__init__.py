@@ -16,7 +16,6 @@ from .schur import (
     torus_coefficient,
     tuple_set_class,
 )
-from .series import lambda_from_sigma
 from .torus import (
     AlgebraSpec,
     TorusClass,
@@ -43,7 +42,6 @@ __all__ = [
     "class_via_lambda",
     "class_via_recursion",
     "class_via_universal",
-    "lambda_from_sigma",
     "lambda_standard",
     "mark_matrix",
     "norm_one_class",

@@ -13,7 +13,7 @@ verify  cross-check all computation routes and the point-count oracle
 checks its own domain.  A single-route `class` call outside it is a usage
 error.  With every route (`class --method all`, `verify`), a route outside
 its domain is skipped with the route's own reason, and at least two routes
-must answer and agree.
+must answer and agree with the first route that answered.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
@@ -42,18 +42,21 @@ def _partition_key(lam) -> str:
     return ",".join(map(str, lam))
 
 
-def _all_routes(spec: AlgebraSpec) -> dict[str, TorusClass | OutsideDomain]:
+def _all_routes(spec: AlgebraSpec) -> tuple[dict[str, TorusClass | OutsideDomain], str]:
     """Every route's class of spec, or the OutsideDomain it raised when
-    spec is outside its domain.  At least two routes must answer."""
+    spec is outside its domain, and the name of the first route that
+    answered, whose class the others are checked against.  At least two
+    routes must answer."""
     results: dict[str, TorusClass | OutsideDomain] = {}
     for name, route in ROUTES.items():
         try:
             results[name] = route(spec)
         except OutsideDomain as skip:
             results[name] = skip
-    if sum(isinstance(tc, TorusClass) for tc in results.values()) < 2:
+    answered = [name for name, tc in results.items() if isinstance(tc, TorusClass)]
+    if len(answered) < 2:
         raise ValueError(f"fewer than two routes can answer for partition ({spec})")
-    return results
+    return results, answered[0]
 
 
 def cmd_class(args) -> int:
@@ -62,8 +65,8 @@ def cmd_class(args) -> int:
         tc = ROUTES[args.method](spec)
         print(_render_class(tc, args.format))
         return 0
-    results = _all_routes(spec)
-    reference = results["lambda"]
+    results, first = _all_routes(spec)
+    reference = results[first]
     agree = all(isinstance(tc, OutsideDomain) or tc == reference for tc in results.values())
     if args.format == "text":
         for name, tc in results.items():
@@ -145,14 +148,14 @@ def cmd_verify(args) -> int:
         raise ValueError("--qmax must be at least 2")
     if args.emax < 1:
         raise ValueError("--emax must be at least 1")
-    results = _all_routes(spec)
-    reference = results["lambda"]
+    results, first = _all_routes(spec)
+    reference = results[first]
     failures = 0
     for name, tc in results.items():
         if isinstance(tc, OutsideDomain):
             print(f"{name}: skipped ({tc})")
         elif tc != reference:
-            print(f"method {name} disagrees with lambda: {tc.text()} vs {reference.text()}")
+            print(f"method {name} disagrees with {first}: {tc.text()} vs {reference.text()}")
             failures += 1
     if not failures:
         print(f"methods agree on partition ({spec}): {reference.text()}")

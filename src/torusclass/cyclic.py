@@ -19,9 +19,11 @@ orbit sizes all divide L, and each of its symmetric powers, is fixed by
 the L-th power of the generator, so it is determined by its marks at the
 divisors of L.  The d-th power of the generator splits the element into
 cycles (its base change along d), and the invariant multisets of a
-permutation are counted by an integer series, virtual elements included;
-alternating powers follow from the integer series recursion at each
-divisor.  Nothing is materialized.
+permutation are counted by an integer series, virtual elements included.
+Alternating powers need no second series: sigma_t(-x) = sigma_t(x)^(-1)
+gives (-1)^i lambda^i(x) = sigma^i(-x), so their marks are the signed
+counts of the opposite element, one counting pass per divisor.  Nothing
+is materialized.
 
 Every route pulls marks back the same way, through one kernel
 (_from_mark_list): the marks at the divisors of L are a zeta transform of
@@ -36,7 +38,7 @@ import math
 from typing import ItemsView, Mapping
 
 from .combinatorics import _check_positive, divisors
-from .series import invariant_multiset_counts, lambda_from_sigma
+from .series import invariant_multiset_counts
 
 
 class CyclicBurnside:
@@ -235,14 +237,17 @@ class CyclicBurnside:
         }
 
     def lambda_series(self, truncation: int) -> list["CyclicBurnside"]:
-        """Alternating powers lambda^0..lambda^truncation, from their marks:
-        at each divisor the integer sigma marks are converted by the
-        series recursion."""
-        marks = self._sigma_marks(truncation)
+        """Alternating powers lambda^0..lambda^truncation, from their marks.
+
+        sigma_t(-x) is the inverse of sigma_t(x), so
+        (-1)^j lambda^j(x) = sigma^j(-x): the mark of lambda^j at each
+        divisor is (-1)^j times the invariant multiset count of the base
+        change of -x there, and one counting pass per divisor gives every
+        j."""
+        marks = (-self)._sigma_marks(truncation)
         divs = list(marks)
-        series = [lambda_from_sigma(s) for s in marks.values()]
         return [
-            self._from_mark_list(divs, [lams[j] for lams in series])
+            self._from_mark_list(divs, [s[j] if j % 2 == 0 else -s[j] for s in marks.values()])
             for j in range(truncation + 1)
         ]
 

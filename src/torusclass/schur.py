@@ -39,7 +39,7 @@ from .combinatorics import (
     power_cycle_type,
 )
 from .cyclic import CyclicBurnside
-from .series import invariant_multiset_counts, lambda_from_sigma
+from .series import invariant_multiset_counts
 
 # Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
 # to keep table sizes sane.
@@ -339,18 +339,20 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
 def lambda_standard(n: int, i: int) -> SchurElement:
     """The i-th alternating power of the class of the standard n-point set.
 
-    Computed in ghost coordinates: per cycle type, the symmetric-power
-    marks are invariant multiset counts, and the alternating-power marks
-    follow by the series recursion.  The result is pulled back to the
-    partition basis by the exact solve, whose integrality is asserted.
+    Computed in ghost coordinates: (-1)^i lambda^i(x) = sigma^i(-x), so
+    the mark at cycle type lam is (-1)^i times the number of invariant
+    i-multisets of the virtual set with every cycle of lam negated.  The
+    result is pulled back to the partition basis by the exact solve,
+    whose integrality is asserted.
     """
     _check_degree(n)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    sign = -1 if i % 2 else 1
     marks = {}
     for lam in partitions(n):
-        sigmas = invariant_multiset_counts(Counter(lam), i)
-        marks[lam] = lambda_from_sigma(sigmas)[i]
+        opposite = {c: -m for c, m in Counter(lam).items()}
+        marks[lam] = sign * invariant_multiset_counts(opposite, i)[i]
     return SchurElement.from_marks(n, marks)
 
 

@@ -1,19 +1,19 @@
-"""Integer counting series and the symmetric-to-alternating power conversion.
+"""Invariant multiset counts of a virtual permutation set.
 
-The conversion from symmetric-power to alternating-power coefficient
-sequences lives here because it is pure series algebra: the two
-generating series are mutually inverse up to the sign flip t -> -t, which
-collapses to the recursion
+The symmetric-power series sigma_t turns sums into products, so
+sigma_t(-x) = sigma_t(x)^(-1), and with lambda defined by
+lambda_{-t}(x) sigma_t(x) = 1 this reads
 
-    sum_{i=0..k} (-1)^i lam[i] * sig[k-i] == 0    for every k >= 1.
+    (-1)^i lambda^i(x) == sigma^i(-x).
 
-It works over any commutative ring, since it needs only +, - and *; the
-callers apply it to integer mark sequences.
+Alternating powers therefore need no conversion from symmetric powers:
+at each mark they are, up to sign, the invariant multiset counts of the
+opposite virtual set, which is what this module counts.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 
 def invariant_multiset_counts(cycles: Mapping[int, int], truncation: int) -> list[int]:
@@ -23,40 +23,20 @@ def invariant_multiset_counts(cycles: Mapping[int, int], truncation: int) -> lis
 
     An invariant multiset has constant multiplicity along each cycle, so
     the counting series is the product of (1 - x^c)^(-m) over cycle
-    lengths c of multiplicity m.  A negative m contributes the polynomial
-    (1 - x^c)^|m|, which is the symmetric-power series of a virtual set:
-    no series division is needed.
+    lengths c of multiplicity m.  It is applied one factor at a time: a
+    real cycle divides by (1 - x^c), an ascending prefix-sum pass, and a
+    virtual cycle (m < 0) multiplies by (1 - x^c), a descending
+    difference pass.  Each pass costs O(truncation), and no series
+    division is needed.
     """
     counts = [1] + [0] * truncation
     for length, mult in cycles.items():
-        # coefficients of (1 - y)^(-mult) in y = x^length: the rising
-        # factorial mult (mult + 1) ... (mult + i - 1) over i!
-        factor = [1]
-        for i in range(1, truncation // length + 1):
-            factor.append(factor[-1] * (mult + i - 1) // i)
-        for k in range(truncation, 0, -1):
-            counts[k] += sum(
-                factor[i] * counts[k - i * length] for i in range(1, k // length + 1)
-            )
+        if mult > 0:
+            for _ in range(mult):
+                for k in range(length, truncation + 1):
+                    counts[k] += counts[k - length]
+        else:
+            for _ in range(-mult):
+                for k in range(truncation, length - 1, -1):
+                    counts[k] -= counts[k - length]
     return counts
-
-
-def lambda_from_sigma(sigmas: Sequence) -> list:
-    """Alternating-power coefficients from symmetric-power coefficients.
-
-    ``sigmas[0]`` must be the ring's one.  Solves the defining recursion
-    for lam[k]:  lam[k] = (-1)^(k+1) sum_{i=0..k-1} (-1)^i lam[i] sig[k-i].
-    """
-    sigmas = list(sigmas)
-    if not sigmas:
-        raise ValueError("need at least the constant symmetric power")
-    lams = [sigmas[0]]
-    for k in range(1, len(sigmas)):
-        acc = lams[0] * sigmas[k]
-        for i in range(1, k):
-            if i % 2:
-                acc = acc - lams[i] * sigmas[k - i]
-            else:
-                acc = acc + lams[i] * sigmas[k - i]
-        lams.append(acc if k % 2 else -acc)
-    return lams

@@ -1,9 +1,9 @@
 """Counting helpers the tests check the routes with.
 
 Compositions and multinomial counts enumerate the tuple-set bases; the
-symmetric powers and the sigma-from-lambda recursion check the lambda
-route's series; the stratum bases check the recursion route's peeling
-against the restricted tuple-set classes.
+symmetric powers and the recursions between sigma and lambda check the
+lambda route's series; the stratum bases check the recursion route's
+peeling against the restricted tuple-set classes.
 """
 
 from __future__ import annotations
@@ -64,6 +64,32 @@ def sigma_series(x: CyclicBurnside, truncation: int) -> list[CyclicBurnside]:
         CyclicBurnside.from_marks({d: marks[j] for d, marks in series.items()})
         for j in range(truncation + 1)
     ]
+
+
+def lambda_from_sigma(sigmas: Sequence) -> list:
+    """Alternating-power coefficients from symmetric-power coefficients,
+    by the recursion that the defining identity lambda_{-t} sigma_t = 1
+    collapses to:
+
+        sum_{i=0..k} (-1)^i lam[i] * sig[k-i] == 0    for every k >= 1.
+
+    ``sigmas[0]`` must be the ring's one.  It needs only +, - and *, so
+    it works over any commutative ring; the tests apply it to integer
+    mark sequences and to CyclicBurnside elements.
+    """
+    sigmas = list(sigmas)
+    if not sigmas:
+        raise ValueError("need at least the constant symmetric power")
+    lams = [sigmas[0]]
+    for k in range(1, len(sigmas)):
+        acc = lams[0] * sigmas[k]
+        for i in range(1, k):
+            if i % 2:
+                acc = acc - lams[i] * sigmas[k - i]
+            else:
+                acc = acc + lams[i] * sigmas[k - i]
+        lams.append(acc if k % 2 else -acc)
+    return lams
 
 
 def sigma_from_lambda(lams: Sequence) -> list:

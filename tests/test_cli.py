@@ -12,7 +12,7 @@ import pytest
 import torusclass
 from torusclass.cli import main
 from torusclass.schur import DEGREE_BOUND
-from torusclass.torus import ROUTES, AlgebraSpec, TorusClass, class_via_lambda
+from torusclass.torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, class_via_lambda
 
 
 def _run(capsys, argv):
@@ -129,6 +129,34 @@ def test_single_route_outside_its_domain_exits_2_with_its_reason(capsys):
     assert err == "error: n > 16\n"
 
 
+def test_a_skipped_lambda_route_leaves_the_first_answer_as_reference(capsys, monkeypatch):
+    def skip(spec):
+        raise OutsideDomain("lambda is off")
+
+    monkeypatch.setitem(ROUTES, "lambda", skip)
+    rho = ROUTES["rho"](AlgebraSpec((2, 1)))
+    code, out, err = _run(capsys, ["class", "--partition", "2,1", "--method", "all"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "lambda: skipped (lambda is off)",
+        f"rho:       {rho.text()}",
+        f"recursion: {rho.text()}",
+        "AGREE",
+    ]
+    code, out, _ = _run(
+        capsys, ["class", "--partition", "2,1", "--method", "all", "--format", "json"]
+    )
+    assert code == 0
+    assert TorusClass.from_json(json.loads(out)) == rho
+    code, out, _ = _run(capsys, ["verify", "--partition", "2,1", "--qmax", "3", "--emax", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "lambda: skipped (lambda is off)"
+    assert lines[1] == f"methods agree on partition (2,1): {rho.text()}"
+    assert "MISMATCH" not in out
+    assert lines[-1] == "PASS"
+
+
 def test_a_route_fault_is_not_a_skip(capsys, monkeypatch):
     def faulty(spec):
         raise ValueError("route fault")
@@ -210,7 +238,6 @@ SHIPPED = {
     "class_via_lambda",
     "class_via_recursion",
     "class_via_universal",
-    "lambda_from_sigma",
     "lambda_standard",
     "mark_matrix",
     "norm_one_class",
@@ -227,7 +254,7 @@ SHIPPED = {
 def test_package_ships_only_the_routes():
     # the routes, their rings and oracles, and the CLI; the brute-force
     # g-set engine and the test-only helpers live under tests/oracles
-    assert len(torusclass.__all__) == len(SHIPPED) == 22
+    assert len(torusclass.__all__) == len(SHIPPED) == 21
     assert set(torusclass.__all__) == SHIPPED
     for name in torusclass.__all__:
         assert getattr(torusclass, name) is not None, name

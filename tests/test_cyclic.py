@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.counting import sigma_from_lambda, sigma_series
+from oracles.counting import lambda_from_sigma, sigma_from_lambda, sigma_series
 from oracles.gsets import (
     FiniteGSet,
     cyclic_decomposition,
@@ -290,6 +290,20 @@ def test_lambda_series_commutes_with_base_change(x, d):
     assert x.base_change(d).lambda_series(n) == [
         c.base_change(d) for c in x.lambda_series(n)
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 12), st.integers(-4, 4), max_size=5).map(CyclicBurnside),
+    st.integers(0, 12),
+)
+def test_lambda_series_marks_match_the_sigma_to_lambda_recursion(x, m):
+    # lambda^j is read off the symmetric powers of -x; at every divisor
+    # its mark must be what the recursion makes of the marks of sigma(x)
+    lams = x.lambda_series(m)
+    assert len(lams) == m + 1
+    for d, sigmas in x._sigma_marks(m).items():
+        assert [lam.mark(d) for lam in lams] == lambda_from_sigma(sigmas)
 
 
 def test_sigma_lambda_roundtrip_on_virtual_elements():

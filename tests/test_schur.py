@@ -1,6 +1,7 @@
 """Tuple-class subring: mark matrix, universal coefficients, restriction."""
 
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.counting import compositions, multinomial
+from oracles.counting import compositions, lambda_from_sigma, multinomial
 from oracles.gsets import (
     cyclic_decomposition,
     perm_of_cycle_type,
@@ -27,6 +28,7 @@ from torusclass.schur import (
     torus_coefficient,
     tuple_set_class,
 )
+from torusclass.series import invariant_multiset_counts
 
 
 def _brute_force_mark(n, mu, lam):
@@ -235,6 +237,18 @@ def test_alternating_power_examples():
     for n in range(1, 6):
         assert lambda_standard(n, 0) == SchurElement.unit(n)
         assert lambda_standard(n, 1) == tuple_set_class(n, (1,))
+
+
+def test_alternating_powers_match_the_sigma_to_lambda_recursion():
+    # lambda_standard reads lambda^i off the symmetric powers of the
+    # negated set; the recursion on the symmetric-power marks must agree
+    for n in range(1, 9):
+        for i in range(n + 1):
+            marks = {
+                lam: lambda_from_sigma(invariant_multiset_counts(Counter(lam), i))[i]
+                for lam in partitions(n)
+            }
+            assert lambda_standard(n, i).marks == marks
 
 
 def test_top_alternating_power_is_the_sign():

@@ -3,11 +3,12 @@
 import math
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles.counting import sigma_from_lambda, sigma_series
+from oracles.counting import lambda_from_sigma, sigma_from_lambda, sigma_series
 from torusclass.cyclic import CyclicBurnside
-from torusclass.series import invariant_multiset_counts, lambda_from_sigma
+from torusclass.series import invariant_multiset_counts
 
 
 def test_invariant_multiset_counts_examples():
@@ -17,6 +18,32 @@ def test_invariant_multiset_counts_examples():
     assert invariant_multiset_counts({1: 3}, 4) == [1, 3, 6, 10, 15]
     # minus two 3-cycles: the polynomial (1 - x^3)^2
     assert invariant_multiset_counts({3: -2}, 7) == [1, 0, 0, -2, 0, 0, 1, 0]
+
+
+def _rising_factorial_counts(cycles, truncation):
+    # the convolution the per-factor passes replaced: one factor series
+    # (1 - y)^(-m) in y = x^c per cycle length, from rising factorials
+    counts = [1] + [0] * truncation
+    for length, mult in cycles.items():
+        factor = [1]
+        for i in range(1, truncation // length + 1):
+            factor.append(factor[-1] * (mult + i - 1) // i)
+        for k in range(truncation, 0, -1):
+            counts[k] += sum(
+                factor[i] * counts[k - i * length] for i in range(1, k // length + 1)
+            )
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 8), st.integers(-6, 6), max_size=6),
+    st.integers(0, 20),
+)
+def test_per_factor_passes_match_the_rising_factorial_convolution(cycles, truncation):
+    # zero multiplicities and truncations below a cycle length included
+    got = invariant_multiset_counts(cycles, truncation)
+    assert got == _rising_factorial_counts(cycles, truncation)
 
 
 def test_invariant_multiset_counts_of_opposite_sets_are_inverse():

@@ -272,6 +272,19 @@ def test_lambda_route_at_256_divisors():
             assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
 
 
+def test_norm_one_route_at_large_n():
+    # one field of degree 720 (30 divisors, truncation 719), six fields of
+    # even degree, and ten fields of prime degree (1,024 divisors)
+    l_minus_1 = _tc(1, {1: 1}, {1: -1})
+    for parts in [(720,), (12, 10, 8, 6, 4, 2), (29, 23, 19, 17, 13, 11, 7, 5, 3, 2)]:
+        spec = AlgebraSpec(parts)
+        tc = norm_one_class(spec)
+        assert l_minus_1 * tc == class_via_lambda(spec)
+        for q in (2, 3):
+            for e in (1, 2):
+                assert tc.count_points(q, e) * (q**e - 1) == point_count_oracle(spec, q, e)
+
+
 def test_one_restriction_pass_matches_one_call_per_coefficient():
     # the rho route restricts all n universal coefficients in one pass;
     # each must equal its own restriction, and the per-divisor form that
