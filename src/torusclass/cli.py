@@ -8,12 +8,14 @@ rho     the universal weight-i coefficient on the partition basis
 marks   the fixed-point matrix of the degree-n tuple sets
 verify  cross-check all computation routes and the point-count oracle
 
-`lambda`, `rho` and `marks` take n up to the Schur ring's degree bound
-(schur.DEGREE_BOUND, 16).  The routes are those of torus.ROUTES, and each
-checks its own domain.  A single-route `class` call outside it is a usage
-error.  With every route (`class --method all`, `verify`), a route outside
-its domain is skipped with the route's own reason, and at least two routes
-must answer and agree with the first route that answered.
+Only `lambda`, `rho` and `marks` keep the Schur ring's degree bound:
+they take n up to schur.DEGREE_BOUND (16).  The routes of `class` and
+`verify` are those of torus.ROUTES, and each checks its own domain; rho's
+is a cost estimate of its dynamic program (torus.RHO_COST_BOUND).  A
+single-route `class` call outside it is a usage error.  With every route
+(`class --method all`, `verify`), a route outside its domain is skipped
+with the route's own reason, and at least two routes must answer and
+agree with the first route that answered.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).

@@ -100,6 +100,9 @@ class CyclicBurnside:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # an element equal to an int, a multiple of [1], hashes like it
+        if self._coeffs.keys() <= {1}:
+            return hash(self._coeffs.get(1, 0))
         return hash(tuple(sorted(self._coeffs.items())))
 
     def __add__(self, other) -> "CyclicBurnside":

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .combinatorics import (
     Composition,
@@ -221,6 +221,9 @@ class SchurElement:
         return self.n == other.n and self._basis == other._basis
 
     def __hash__(self) -> int:
+        # an element equal to an int, a multiple of the unit, hashes like it
+        if self._basis.keys() <= {(self.n,)}:
+            return hash(self._basis.get((self.n,), 0))
         return hash((self.n, tuple(sorted(self._basis.items()))))
 
     def __add__(self, other) -> "SchurElement":
@@ -360,27 +363,12 @@ def restrict_to_cyclic(x: SchurElement, lam) -> CyclicBurnside:
     """Restriction along the procyclic generator acting with cycle type lam.
 
     The restricted action has orbit sizes dividing lcm(lam), which can
-    exceed n, so marks are taken at every divisor of lcm(lam) before
-    inverting.  This is the one-element case of _restrictions.
+    exceed n, so marks are taken at every divisor of lcm(lam): the mark at
+    d is x's mark at the cycle type of the d-th power of the generator,
+    taken once per distinct type, and the mark kernel pulls them back.
     """
-    return _restrictions(x.n, [x], lam)[0]
-
-
-def _restrictions(n: int, xs: Sequence[SchurElement], lam) -> list[CyclicBurnside]:
-    """Restrictions of the degree-n elements xs along the generator acting
-    with cycle type lam, in one pass.
-
-    lam is checked once, and the cycle type of the d-th power of the
-    generator is computed once per divisor d of lcm(lam).  Each element's
-    mark is then taken once per distinct type and pulled back by the mark
-    kernel over that one divisor list.
-    """
-    lam = _check_partition(n, lam)
+    lam = _check_partition(x.n, lam)
     divs = divisors(math.lcm(*lam))
     types = [power_cycle_type(lam, d) for d in divs]
-    distinct = dict.fromkeys(types)
-    out = []
-    for x in xs:
-        marks = {t: x._mark(t) for t in distinct}
-        out.append(CyclicBurnside._from_mark_list(divs, [marks[t] for t in types]))
-    return out
+    marks = {t: x._mark(t) for t in dict.fromkeys(types)}
+    return CyclicBurnside._from_mark_list(divs, [marks[t] for t in types])

@@ -21,9 +21,12 @@ the reason, before doing any work:
   the alternating powers computed mark by mark in the procyclic Burnside
   ring, at the divisors of the lcm of the factor degrees;
 * class_via_universal: a_i is the restriction, along the Frobenius cycle
-  type, of a universal element of the symmetric-group Burnside subring
-  built from an alternating sum over compositions of i; its domain is
-  n <= schur.DEGREE_BOUND;
+  type, of a universal element rho_i of the symmetric-group Burnside ring,
+  the alternating sum over compositions of i of the sets of tuples of
+  disjoint subsets; its marks at the cycle types of the powers of
+  Frobenius come from a dynamic program over the cycles (_rho_marks),
+  never from the lambda identity, and its domain is a cost estimate of
+  that program, at most RHO_COST_BOUND;
 * class_via_recursion: a direct stratification of affine n-space over
   the base, peeling off loci by the size of their vanishing set within
   each fiber, computed on isomorphism types of fibered pieces: each
@@ -49,9 +52,8 @@ from functools import cache, reduce
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
-from .combinatorics import Partition, _check_positive, divisors, is_prime_power
+from .combinatorics import Partition, _check_positive, divisors, is_prime_power, power_cycle_type
 from .cyclic import CyclicBurnside
-from .schur import DEGREE_BOUND, _restrictions, torus_coefficient
 
 
 def _check_extension(q: int, e: int) -> None:
@@ -289,18 +291,75 @@ def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
 
 class OutsideDomain(ValueError):
     """A route was asked for an input outside the domain it handles; the
-    message is the reason, such as "n > 16"."""
+    message is the reason, such as "mark DP estimate 354,512,640 >
+    10,000,000"."""
+
+
+# The rho route's domain: the largest cost estimate of its dynamic program
+# that it accepts (see class_via_universal).  At 80-170 ns per unit
+# (Python 3.11, 2-vCPU shared VM), an accepted input finishes within about
+# 1.5 s.
+RHO_COST_BOUND = 10**7
+
+
+@cache
+def _rho_marks(tau: Partition) -> tuple[int, ...]:
+    """Marks of the universal coefficients rho_1..rho_n, n = sum(tau), at a
+    permutation of cycle type tau; entry i - 1 is the mark of rho_i.
+
+    rho_i is the alternating sum, over the compositions of i, of the sets
+    of tuples of disjoint subsets with those sizes, signed by tuple length.
+    Its mark counts the tuples of disjoint, nonempty subsets fixed by the
+    permutation, which are unions of its cycles, with i points in all and
+    sign (-1)^(tuple length).  A dynamic program over the cycles counts the
+    unordered ones: rows[s][j] is the number of ways to place s points'
+    worth of the cycles seen so far into j blocks.  A cycle of length l is
+    skipped, joins one of the j blocks, or opens a block of its own.  The
+    j! orders of the blocks then give mark(rho_i) = sum_j (-1)^j j!
+    rows[i][j].
+    """
+    n = sum(tau)
+    rows: list[list[int]] = [[1]] + [[] for _ in range(n)]
+    seen = 0
+    for length in tau:
+        # descending s reads each row before this cycle writes to it
+        for s in range(min(seen, n - length), -1, -1):
+            src = rows[s]
+            if not src:
+                continue
+            dst = rows[s + length]
+            if len(dst) <= len(src):
+                dst.extend([0] * (len(src) + 1 - len(dst)))
+            for j, v in enumerate(src):
+                if v:
+                    dst[j] += j * v
+                    dst[j + 1] += v
+        seen += length
+    signed = [1]
+    for j in range(1, len(tau) + 1):
+        signed.append(-j * signed[-1])
+    return tuple(sum(w * v for w, v in zip(signed, row)) for row in rows[1:])
 
 
 def class_via_universal(spec: AlgebraSpec) -> TorusClass:
-    """Universal-coefficient route: restrict the degree-n universal
-    coefficients along the Frobenius cycle type, all in one pass.  Its
-    domain is the Schur ring's degree bound."""
+    """Universal-coefficient route: a_i is the restriction of the universal
+    rho_i along the Frobenius cycle type.  The marks of every rho_i at the
+    cycle type of each power of Frobenius come from one dynamic program
+    per distinct type (_rho_marks), and the mark kernel pulls them back
+    over the divisors of lcm(parts).
+
+    Its domain is a cost estimate of those programs, taken from the power
+    types before any of them runs: n len(t)^2 / 2 summed over the distinct
+    types t, at most RHO_COST_BOUND."""
     n = spec.n
-    if n > DEGREE_BOUND:
-        raise OutsideDomain(f"n > {DEGREE_BOUND}")
-    rhos = [torus_coefficient(n, i) for i in range(1, n + 1)]
-    return TorusClass(n, [CyclicBurnside.ONE, *_restrictions(n, rhos, spec.parts)])
+    divs = divisors(math.lcm(*spec.parts))
+    types = [power_cycle_type(spec.parts, d) for d in divs]
+    cost = sum(n * len(t) ** 2 for t in set(types)) // 2
+    if cost > RHO_COST_BOUND:
+        raise OutsideDomain(f"mark DP estimate {cost:,} > {RHO_COST_BOUND:,}")
+    marks = [_rho_marks(t) for t in types]
+    coeffs = [CyclicBurnside._from_mark_list(divs, [m[i] for m in marks]) for i in range(n)]
+    return TorusClass(n, [CyclicBurnside.ONE, *coeffs])
 
 
 def norm_one_class(spec: AlgebraSpec) -> TorusClass:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,14 @@ import pytest
 import torusclass
 from torusclass.cli import main
 from torusclass.schur import DEGREE_BOUND
-from torusclass.torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, class_via_lambda
+from torusclass.torus import (
+    RHO_COST_BOUND,
+    ROUTES,
+    AlgebraSpec,
+    OutsideDomain,
+    TorusClass,
+    class_via_lambda,
+)
 
 
 def _run(capsys, argv):
@@ -106,27 +114,38 @@ def test_verify_counts_points_only_over_fields(capsys):
     assert "q=6" not in out
 
 
-def test_all_routes_skip_rho_past_its_degree_bound(capsys):
-    n = DEGREE_BOUND + 1
-    skipped = f"rho: skipped (n > {DEGREE_BOUND})"
-    code, out, _ = _run(capsys, ["class", "--partition", str(n), "--method", "all"])
+# ten fields of prime degree, n = 129: the power types of its 1,024 divisors
+# put rho's cost estimate at 354,512,640, far past any calibration of the bound
+TEN_FIELDS = "29,23,19,17,13,11,7,5,3,2"
+TEN_FIELDS_REASON = f"mark DP estimate 354,512,640 > {RHO_COST_BOUND:,}"
+
+
+def test_all_routes_skip_rho_past_its_cost_estimate(capsys):
+    # verify prints a skip the same way; see the skipped-lambda test below
+    skipped = f"rho: skipped ({TEN_FIELDS_REASON})"
+    code, out, _ = _run(capsys, ["class", "--partition", TEN_FIELDS, "--method", "all"])
     assert code == 0
     lines = out.splitlines()
-    assert skipped in lines
-    assert lines[0].startswith(f"lambda:    L^{n} - [Spec F_q^{n}]·L^{n - 1}")
+    assert lines[0].startswith("lambda:    L^129 + (-[Spec F_q^29] - [Spec F_q^23] - ")
+    assert lines[1] == skipped
     assert lines[2] == "recursion: " + lines[0][len("lambda:    "):]
     assert lines[-1] == "AGREE"
-    code, out, _ = _run(capsys, ["verify", "--partition", str(n), "--qmax", "3", "--emax", "1"])
-    assert code == 0
-    assert skipped in out
-    assert "PASS" in out
 
 
 def test_single_route_outside_its_domain_exits_2_with_its_reason(capsys):
-    code, out, err = _run(capsys, ["class", "--partition", "17", "--method", "rho"])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["class", "--partition", TEN_FIELDS, "--method", "rho"])
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert err == "error: n > 16\n"
+    assert err == f"error: {TEN_FIELDS_REASON}\n"
+    # one field of degree 5,000: the estimate is read off 20 power types
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["class", "--partition", "5000", "--method", "rho"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: mark DP estimate 86,466,462,500 > {RHO_COST_BOUND:,}\n"
 
 
 def test_a_skipped_lambda_route_leaves_the_first_answer_as_reference(capsys, monkeypatch):
@@ -205,12 +224,12 @@ def test_recursion_answers_for_a_degree_22_field(capsys):
 
 
 def test_all_routes_answer_for_six_fields_at_n_41(capsys):
-    # rho is past its degree bound, so lambda and recursion alone must agree
+    # past the Schur ring's degree bound, all three routes answer and agree
     code, out, _ = _run(capsys, ["class", "--partition", "13,11,7,5,3,2", "--method", "all"])
     assert code == 0
     lines = out.splitlines()
-    assert f"rho: skipped (n > {DEGREE_BOUND})" in lines
-    assert lines[-1] == "AGREE"
+    assert [line.split(":")[0] for line in lines] == ["lambda", "rho", "recursion", "AGREE"]
+    assert "skipped" not in out
 
 
 @pytest.mark.parametrize("command", [["lambda", "--i", "1"], ["rho", "--i", "1"], ["marks"]])

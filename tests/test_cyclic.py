@@ -324,6 +324,15 @@ def test_equality_and_coercion():
     assert CyclicBurnside({2: 1, 3: 0}) == CyclicBurnside({2: 1})
 
 
+def test_an_element_equal_to_an_int_hashes_like_it():
+    for m in (-2, 0, 1, 3):
+        x = CyclicBurnside.from_int(m)
+        assert x == m and hash(x) == hash(m)
+        assert m in {x} and x in {m}
+    assert {CyclicBurnside.ZERO: "zero"}[0] == "zero"
+    assert hash(CyclicBurnside.orbit(2)) == hash(CyclicBurnside({2: 1}))
+
+
 def test_text_and_json_roundtrip():
     x = 2 * CyclicBurnside.orbit(2) - CyclicBurnside.orbit(12) + 1
     assert str(x) == "1·[1] + 2·[2] - 1·[12]"

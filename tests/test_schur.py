@@ -123,6 +123,16 @@ def test_tuple_set_class_padding_and_sorting():
         tuple_set_class(3, (2, 2))
 
 
+def test_an_element_equal_to_an_int_hashes_like_it():
+    for n in (1, 4):
+        for m in (-2, 0, 1, 3):
+            x = SchurElement.from_basis(n, {(n,): m})
+            assert x == m and hash(x) == hash(m)
+            assert m in {x} and x in {m}
+    x = torus_coefficient(4, 2)
+    assert hash(x) == hash(SchurElement.from_basis(4, x.basis))
+
+
 def test_bool_rejected_as_an_integer():
     # bool is an int subclass; it must not pass as a coefficient or size
     unit = SchurElement.unit(3)

@@ -1,6 +1,7 @@
 """Unit-torus classes: three routes, strata, counting, rendering."""
 
 import math
+import time
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -16,7 +17,9 @@ from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import restrict_to_cyclic, torus_coefficient, tuple_set_class
 from torusclass.torus import (
     AlgebraSpec,
+    OutsideDomain,
     TorusClass,
+    _rho_marks,
     _stratum_types,
     _units_of_type,
     char_poly_oracle,
@@ -285,10 +288,23 @@ def test_norm_one_route_at_large_n():
                 assert tc.count_points(q, e) * (q**e - 1) == point_count_oracle(spec, q, e)
 
 
+def test_dp_marks_are_the_schur_marks():
+    # the rho route's dynamic program against the Schur ring's marks of the
+    # universal coefficients, at every cycle type of n <= 10
+    for n in range(1, 11):
+        rhos = [torus_coefficient(n, i) for i in range(1, n + 1)]
+        for tau in partitions(n):
+            marks = _rho_marks(tau)
+            assert len(marks) == n
+            for i, rho in enumerate(rhos, 1):
+                assert marks[i - 1] == rho._mark(tau)
+
+
 def test_one_restriction_pass_matches_one_call_per_coefficient():
-    # the rho route restricts all n universal coefficients in one pass;
-    # each must equal its own restriction, and the per-divisor form that
-    # the pass replaced, on all 271 partitions of n <= 12
+    # the rho route's classes, from the dynamic program's marks, against
+    # the Schur path: each coefficient must equal the restriction of the
+    # universal coefficient, and its per-divisor form, on all 271
+    # partitions of n <= 12
     for n in range(1, 13):
         rhos = [torus_coefficient(n, i) for i in range(1, n + 1)]
         for parts in partitions(n):
@@ -299,6 +315,30 @@ def test_one_restriction_pass_matches_one_call_per_coefficient():
                 assert coeff == restrict_to_cyclic(rho, parts)
                 marks = {d: rho.mark(power_cycle_type(parts, d)) for d in divs}
                 assert coeff == CyclicBurnside.from_marks(marks)
+
+
+@st.composite
+def _partitions_up_to(draw, n_max):
+    parts, left = [], draw(st.integers(1, n_max))
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return tuple(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_partitions_up_to(40))
+def test_rho_answers_and_agrees_or_declines_fast(parts):
+    # up to n = 40 every input is within the estimate today; one outside it
+    # must be declined before any dynamic program runs
+    spec = AlgebraSpec(parts)
+    start = time.perf_counter()
+    try:
+        tc = class_via_universal(spec)
+    except OutsideDomain:
+        assert time.perf_counter() - start < 0.1
+        return
+    assert tc == class_via_lambda(spec) == class_via_recursion(spec)
 
 
 def test_recursion_route_at_large_n():
