@@ -17,6 +17,10 @@ single-route `class` call outside it is a usage error.  With every route
 with the route's own reason, and at least two routes must answer and
 agree with the first route that answered.
 
+The argparse tree is built once per process, on the first `main` call,
+and reused by every later call; the `--method` choices are the route
+names in torus.ROUTES at that time.
+
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
 """
@@ -216,8 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -64,6 +64,9 @@ class CyclicBurnside:
     def __setattr__(self, name, value):
         raise AttributeError("CyclicBurnside is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("CyclicBurnside is immutable")
+
     @classmethod
     def orbit(cls, k: int) -> "CyclicBurnside":
         """The class of the transitive action on k points."""

@@ -107,6 +107,9 @@ class MarkMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("MarkMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("MarkMatrix is immutable")
+
     def entry(self, mu: Partition, lam: Partition) -> int:
         return self.entries[self._position[mu]][self._position[lam]]
 
@@ -151,6 +154,9 @@ class SchurElement:
         object.__setattr__(self, "_basis", basis)
 
     def __setattr__(self, name, value):
+        raise AttributeError("SchurElement is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("SchurElement is immutable")
 
     @classmethod

@@ -129,6 +129,9 @@ class TorusClass:
     def __setattr__(self, name, value):
         raise AttributeError("TorusClass is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("TorusClass is immutable")
+
     def coefficient(self, power: int) -> CyclicBurnside:
         """The coefficient of L^power."""
         if not 0 <= power <= self.n:
@@ -495,7 +498,8 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its
-# TorusClass, or raises OutsideDomain before doing any work.
+# TorusClass, or raises OutsideDomain before doing any work.  The CLI
+# reads the names once, when its first main() call builds the parser.
 ROUTES = {
     "lambda": class_via_lambda,
     "rho": class_via_universal,

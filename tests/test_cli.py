@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes, public names."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import torusclass
+from torusclass import cli
 from torusclass.cli import main
 from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import (
@@ -185,6 +187,70 @@ def test_a_route_fault_is_not_a_skip(capsys, monkeypatch):
     assert code == 2
     assert "skipped" not in out
     assert err == "error: route fault\n"
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = (["class", "--partition", "2"], ["marks", "--n", "3"], ["rho", "--n", "3", "--i", "1"])
+    for argv in calls:
+        assert main(argv) == 0
+    with pytest.raises(SystemExit):
+        main(["class"])
+    capsys.readouterr()
+    # the root parser and its five subcommands, once for all four calls
+    assert built == ["torusclass"] + [
+        f"torusclass {command}" for command in ("class", "lambda", "rho", "marks", "verify")
+    ]
+
+
+# every method and format, each command, a usage error, an error exit,
+# then the defaults again: nothing may leak from one call into the next
+REPEATED = [
+    *(
+        ["class", "--partition", "3,2", "--method", method, "--format", fmt]
+        for method in ROUTES
+        for fmt in ("text", "json", "latex")
+    ),
+    ["class", "--partition", "3,2", "--method", "all"],
+    ["verify", "--partition", "3,2"],
+    ["lambda", "--n", "4", "--i", "2"],
+    ["rho", "--n", "4", "--i", "2"],
+    ["marks", "--n", "4"],
+    ["class", "--method", "rho", "--format", "json"],
+    ["class", "--partition", "2,x"],
+    ["class", "--help"],
+    ["class", "--partition", "3,2"],
+]
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # argparse wraps usage and help to the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_parser", None)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(torusclass.__file__)),
+        PYTHONIOENCODING="utf-8",
+    )
+    for argv in REPEATED:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "torusclass.cli", *argv],
+            env=env, capture_output=True, encoding="utf-8", timeout=60,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_missing_required_flag_exits_2():

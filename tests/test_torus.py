@@ -14,7 +14,7 @@ from oracles.counting import compositions, recursion_stratum_base
 from oracles.gsets import FiniteGSet, cycle_type, orbits, perm_of_cycle_type
 from torusclass.combinatorics import divisors, partitions, power_cycle_type
 from torusclass.cyclic import CyclicBurnside
-from torusclass.schur import restrict_to_cyclic, torus_coefficient, tuple_set_class
+from torusclass.schur import mark_matrix, restrict_to_cyclic, torus_coefficient, tuple_set_class
 from torusclass.torus import (
     AlgebraSpec,
     OutsideDomain,
@@ -169,6 +169,23 @@ def test_monicity_enforced():
         TorusClass(1, (CyclicBurnside.orbit(2), CyclicBurnside.ONE))
     with pytest.raises(ValueError):
         TorusClass(1, (CyclicBurnside.ONE,))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [CyclicBurnside({1: 1, 2: -1}), BENCHMARKS[(2, 2)], torus_coefficient(3, 1), mark_matrix(3)],
+    ids=["CyclicBurnside", "TorusClass", "SchurElement", "MarkMatrix"],
+)
+def test_values_refuse_attribute_assignment_and_deletion(value):
+    # hashes, equality and the memo tables holding these values rely on
+    # their attributes never changing
+    for name in type(value).__slots__:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+        assert getattr(value, name) is before
 
 
 def test_coefficient_accessor():
