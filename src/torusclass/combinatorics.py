@@ -1,4 +1,5 @@
-"""Partitions, cycle-type powers, divisors and prime powers.
+"""Partitions, cycle-type powers, divisors and prime powers, and the
+checks and immutable base that the value classes share.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -13,10 +14,31 @@ Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 
 
+class _Immutable:
+    """Base of the value classes, whose hashes and memo tables rely on
+    attributes that never change: __init__ sets them with
+    object.__setattr__, and assignment and deletion are refused.  Its
+    empty __slots__ keeps a slotted subclass free of a __dict__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _check_positive(name: str, value) -> None:
     """Reject anything but a positive int; a bool is not an int here."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name}={value!r} is not a positive integer")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    """Reject anything but an int >= 0, such as a count or a truncation."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name}={value!r} is not a nonnegative integer")
 
 
 def partitions(n: int) -> list[Partition]:

@@ -14,16 +14,16 @@ e (fixed points of the e-th power of the generator) is the number of
 points over the degree-e extension.  This dictionary loses no information
 because the acting group is procyclic, so marks separate elements.
 
-Lambda operations are computed one mark at a time.  An element whose
-orbit sizes all divide L, and each of its symmetric powers, is fixed by
-the L-th power of the generator, so it is determined by its marks at the
-divisors of L.  The d-th power of the generator splits the element into
-cycles (its base change along d), and the invariant multisets of a
-permutation are counted by an integer series, virtual elements included.
-Alternating powers need no second series: sigma_t(-x) = sigma_t(x)^(-1)
-gives (-1)^i lambda^i(x) = sigma^i(-x), so their marks are the signed
-counts of the opposite element, one counting pass per divisor.  Nothing
-is materialized.
+Symmetric powers are computed one mark at a time (sigma_series).  An
+element whose orbit sizes all divide L, and each of its symmetric powers,
+is fixed by the L-th power of the generator, so it is determined by its
+marks at the divisors of L.  The d-th power of the generator splits the
+element into cycles (its base change along d), and the invariant
+multisets of a permutation are counted by an integer series, virtual
+elements included: one counting pass per divisor.  Nothing is
+materialized.  Alternating powers need no second series: sigma_t(-x) =
+sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x), and
+lambda_series is the one place that applies that sign.
 
 Every route pulls marks back the same way, through one kernel
 (_from_mark_list): the marks at the divisors of L are a zeta transform of
@@ -35,13 +35,13 @@ costs O(D * omega) rather than the O(D^2) of solving divisor by divisor.
 from __future__ import annotations
 
 import math
-from typing import ItemsView, Mapping
+from typing import ItemsView, Mapping, Sequence
 
-from .combinatorics import _check_positive, divisors
+from .combinatorics import _check_nonnegative, _check_positive, _Immutable, divisors
 from .series import invariant_multiset_counts
 
 
-class CyclicBurnside:
+class CyclicBurnside(_Immutable):
     """Integer combination of orbit classes, keyed by orbit size."""
 
     __slots__ = ("_coeffs",)
@@ -60,12 +60,6 @@ class CyclicBurnside:
                 if c != 0:
                     clean[k] = c
         object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicBurnside is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CyclicBurnside is immutable")
 
     @classmethod
     def orbit(cls, k: int) -> "CyclicBurnside":
@@ -178,7 +172,7 @@ class CyclicBurnside:
         return cls._from_mark_list(divs, [fix[d] for d in divs])
 
     @classmethod
-    def _from_mark_list(cls, divs: list[int], values: list[int]) -> "CyclicBurnside":
+    def _from_mark_list(cls, divs: list[int], values: Sequence[int]) -> "CyclicBurnside":
         """The kernel of from_marks, for callers that built the ascending
         divisor list of the order L themselves: values[j] is the mark at
         divs[j], and no key is checked.
@@ -230,32 +224,22 @@ class CyclicBurnside:
             out[kk] = out.get(kk, 0) + c * g
         return CyclicBurnside(out)
 
-    def _sigma_marks(self, truncation: int) -> dict[int, list[int]]:
-        """Marks of sigma^0..sigma^truncation at each divisor d of the lcm
-        of the orbit sizes: the d-th power of the generator acts with the
-        cycles of base_change(d), whose invariant multisets are counted."""
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        order = math.lcm(*self._coeffs)
-        return {
-            d: invariant_multiset_counts(self.base_change(d)._coeffs, truncation)
-            for d in divisors(order)
-        }
+    def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
+        """Symmetric powers sigma^0..sigma^truncation, from their marks.
+
+        At each divisor d of the lcm of the orbit sizes, the d-th power of
+        the generator acts with the cycles of base_change(d), so the marks
+        of every sigma^j there are its invariant multiset counts: one
+        counting pass per divisor, then the mark kernel once per j."""
+        _check_nonnegative("truncation", truncation)
+        divs = divisors(math.lcm(*self._coeffs))
+        counts = [invariant_multiset_counts(self.base_change(d)._coeffs, truncation) for d in divs]
+        return [self._from_mark_list(divs, marks) for marks in zip(*counts)]
 
     def lambda_series(self, truncation: int) -> list["CyclicBurnside"]:
-        """Alternating powers lambda^0..lambda^truncation, from their marks.
-
-        sigma_t(-x) is the inverse of sigma_t(x), so
-        (-1)^j lambda^j(x) = sigma^j(-x): the mark of lambda^j at each
-        divisor is (-1)^j times the invariant multiset count of the base
-        change of -x there, and one counting pass per divisor gives every
-        j."""
-        marks = (-self)._sigma_marks(truncation)
-        divs = list(marks)
-        return [
-            self._from_mark_list(divs, [s[j] if j % 2 == 0 else -s[j] for s in marks.values()])
-            for j in range(truncation + 1)
-        ]
+        """Alternating powers lambda^0..lambda^truncation: sigma_t(-x) is
+        the inverse of sigma_t(x), so lambda^j(x) = (-1)^j sigma^j(-x)."""
+        return [s if j % 2 == 0 else -s for j, s in enumerate((-self).sigma_series(truncation))]
 
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}

@@ -34,6 +34,7 @@ from .combinatorics import (
     Composition,
     Partition,
     _check_positive,
+    _Immutable,
     divisors,
     partitions,
     power_cycle_type,
@@ -85,7 +86,7 @@ def _assignments(cycles: tuple[int, ...], caps: tuple[int, ...]) -> int:
     return total
 
 
-class MarkMatrix:
+class MarkMatrix(_Immutable):
     """Fixed-point counts of the tuple sets, rows by block partition mu and
     columns by cycle type lam, both in lex-descending order.  An entry is
     zero unless lam refines mu, so the matrix is upper triangular."""
@@ -103,12 +104,6 @@ class MarkMatrix:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_position", {p: i for i, p in enumerate(index)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MarkMatrix is immutable")
 
     def entry(self, mu: Partition, lam: Partition) -> int:
         return self.entries[self._position[mu]][self._position[lam]]
@@ -142,7 +137,7 @@ def mark_matrix(n: int) -> MarkMatrix:
     return MarkMatrix(n)
 
 
-class SchurElement:
+class SchurElement(_Immutable):
     """An element of the tuple-class subring of the degree-n symmetric
     group's Burnside ring, stored in basis coordinates."""
 
@@ -152,12 +147,6 @@ class SchurElement:
         # internal: callers go through from_basis / from_marks
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SchurElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SchurElement is immutable")
 
     @classmethod
     def from_basis(cls, n: int, basis: Mapping[Partition, int]) -> "SchurElement":

@@ -17,9 +17,11 @@ AlgebraSpec -> TorusClass function listed once in ROUTES by its CLI name;
 a route with a bounded domain checks it and raises OutsideDomain, with
 the reason, before doing any work:
 
-* class_via_lambda: a_i = (-1)^i lambda^i of the class of Spec L, with
-  the alternating powers computed mark by mark in the procyclic Burnside
-  ring, at the divisors of the lcm of the factor degrees;
+* class_via_lambda: a_i = (-1)^i lambda^i of the class x of Spec L,
+  which is sigma^i(-x) because sigma_t(-x) = sigma_t(x)^(-1); the
+  coefficients are read straight off the symmetric powers of -x, computed
+  mark by mark in the procyclic Burnside ring at the divisors of the lcm
+  of the factor degrees (CyclicBurnside.sigma_series);
 * class_via_universal: a_i is the restriction, along the Frobenius cycle
   type, of a universal element rho_i of the symmetric-group Burnside ring,
   the alternating sum over compositions of i of the sets of tuples of
@@ -52,7 +54,15 @@ from functools import cache, reduce
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
-from .combinatorics import Partition, _check_positive, divisors, is_prime_power, power_cycle_type
+from .combinatorics import (
+    Partition,
+    _check_nonnegative,
+    _check_positive,
+    _Immutable,
+    divisors,
+    is_prime_power,
+    power_cycle_type,
+)
 from .cyclic import CyclicBurnside
 
 
@@ -62,7 +72,7 @@ def _check_extension(q: int, e: int) -> None:
     _check_positive("e", e)
 
 
-class AlgebraSpec:
+class AlgebraSpec(_Immutable):
     """Degrees of the field factors of a separable algebra, sorted
     descending.  The empty tuple is the zero algebra (n = 0).  Immutable,
     compared and hashed by its parts."""
@@ -74,12 +84,6 @@ class AlgebraSpec:
         if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError("factor degrees must be positive integers")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AlgebraSpec is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -109,15 +113,16 @@ class AlgebraSpec:
         return ",".join(map(str, self.parts))
 
 
-class TorusClass:
+class TorusClass(_Immutable):
     """Monic degree-n polynomial in the Lefschetz class with
     zero-dimensional coefficients; coeffs[i] multiplies L^(n-i)."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[CyclicBurnside]):
+        _check_nonnegative("n", n)
         coeffs = tuple(coeffs)
-        if n < 0 or len(coeffs) != n + 1:
+        if len(coeffs) != n + 1:
             raise ValueError("need exactly n + 1 coefficients")
         if any(not isinstance(c, CyclicBurnside) for c in coeffs):
             raise ValueError("coefficients must be CyclicBurnside elements")
@@ -126,15 +131,10 @@ class TorusClass:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusClass is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TorusClass is immutable")
-
     def coefficient(self, power: int) -> CyclicBurnside:
         """The coefficient of L^power."""
-        if not 0 <= power <= self.n:
+        _check_nonnegative("power", power)
+        if power > self.n:
             raise ValueError(f"power {power} out of range 0..{self.n}")
         return self.coeffs[self.n - power]
 
@@ -188,10 +188,12 @@ class TorusClass:
     @classmethod
     def from_json(cls, obj: Mapping) -> "TorusClass":
         n = obj["n"]
+        _check_nonnegative("n", n)
         coeffs = [CyclicBurnside.ZERO] * (n + 1)
         for entry in obj["coeffs"]:
             power = entry["power"]
-            if not 0 <= power <= n:
+            _check_nonnegative("power", power)
+            if power > n:
                 raise ValueError(f"power {power} out of range 0..{n}")
             coeffs[n - power] = CyclicBurnside.from_json(entry["artin"])
         return cls(n, coeffs)
@@ -278,18 +280,14 @@ def _render(tc: TorusClass, dialect: _Dialect) -> str:
 
 def spec_class(spec: AlgebraSpec) -> CyclicBurnside:
     """The zero-dimensional class of Spec L itself: one orbit per factor."""
-    total = CyclicBurnside.ZERO
-    for k in spec.parts:
-        total = total + CyclicBurnside.orbit(k)
-    return total
+    return CyclicBurnside(Counter(spec.parts))
 
 
 def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
-    """Alternating-power route: a_i = (-1)^i lambda^i([Spec L])."""
-    n = spec.n
-    lams = spec_class(spec).lambda_series(n)
-    coeffs = [lam if i % 2 == 0 else -lam for i, lam in enumerate(lams)]
-    return TorusClass(n, coeffs)
+    """Alternating-power route: a_i = (-1)^i lambda^i([Spec L]), which is
+    sigma^i(-[Spec L]), so the coefficients are the symmetric powers of
+    the opposite class, read off with no change of sign."""
+    return TorusClass(spec.n, (-spec_class(spec)).sigma_series(spec.n))
 
 
 class OutsideDomain(ValueError):
@@ -367,15 +365,13 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
 
 def norm_one_class(spec: AlgebraSpec) -> TorusClass:
     """Class of the norm-one subtorus: degree n - 1, with coefficients
-    (-1)^i lambda^i([Spec L] - 1).  Multiplying by L - 1 recovers the
+    (-1)^i lambda^i([Spec L] - 1) = sigma^i(1 - [Spec L]), read off the
+    symmetric powers of 1 - [Spec L].  Multiplying by L - 1 recovers the
     full unit torus."""
     n = spec.n
     if n < 1:
         raise ValueError("norm-one subtorus needs n >= 1")
-    virtual = spec_class(spec) - CyclicBurnside.ONE
-    lams = virtual.lambda_series(n - 1)
-    coeffs = [lam if i % 2 == 0 else -lam for i, lam in enumerate(lams)]
-    return TorusClass(n - 1, coeffs)
+    return TorusClass(n - 1, (CyclicBurnside.ONE - spec_class(spec)).sigma_series(n - 1))
 
 
 def point_count_oracle(spec: AlgebraSpec, q: int, e: int) -> int:

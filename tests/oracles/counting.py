@@ -1,9 +1,9 @@
 """Counting helpers the tests check the routes with.
 
 Compositions and multinomial counts enumerate the tuple-set bases; the
-symmetric powers and the recursions between sigma and lambda check the
-lambda route's series; the stratum bases check the recursion route's
-peeling against the restricted tuple-set classes.
+recursions between sigma and lambda check the lambda route's series;
+the stratum bases check the recursion route's peeling against the
+restricted tuple-set classes.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ def multinomial(n: int, parts: Composition) -> int:
     for p in parts:
         result //= math.factorial(p)
     return result
-
-
-def sigma_series(x: CyclicBurnside, truncation: int) -> list[CyclicBurnside]:
-    """Symmetric powers sigma^0..sigma^truncation of x, from their marks."""
-    series = x._sigma_marks(truncation)
-    return [
-        CyclicBurnside.from_marks({d: marks[j] for d, marks in series.items()})
-        for j in range(truncation + 1)
-    ]
 
 
 def lambda_from_sigma(sigmas: Sequence) -> list:

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, public names."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import torusclass
 from torusclass import cli
 from torusclass.cli import main
+from torusclass.combinatorics import partitions
 from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import (
     RHO_COST_BOUND,
@@ -22,6 +24,7 @@ from torusclass.torus import (
     OutsideDomain,
     TorusClass,
     class_via_lambda,
+    norm_one_class,
 )
 
 
@@ -67,6 +70,23 @@ def test_output_is_deterministic(capsys):
     _, third, _ = _run(capsys, ["class", "--partition", "3,2", "--format", "json"])
     _, fourth, _ = _run(capsys, ["class", "--partition", "3,2", "--format", "json"])
     assert third == fourth
+
+
+def test_output_is_pinned(capsys):
+    # one SHA-256 over every route's printed output, in each format, and
+    # over the norm-one class, on all 138 partitions of n <= 10 and on
+    # (13,11,7,5,3,2): a refactor of the routes must leave each byte as is
+    digest = hashlib.sha256()
+    specs = [p for n in range(1, 11) for p in partitions(n)] + [(13, 11, 7, 5, 3, 2)]
+    assert len(specs) == 139
+    for parts in specs:
+        key = ",".join(map(str, parts))
+        for fmt in ("text", "json", "latex"):
+            argv = ["class", "--partition", key, "--method", "all", "--format", fmt]
+            code, out, _ = _run(capsys, argv)
+            digest.update(f"{key} {fmt} {code}\n{out}".encode())
+        digest.update(json.dumps(norm_one_class(AlgebraSpec(parts)).to_json()).encode() + b"\n")
+    assert digest.hexdigest() == "93a411baab1ecb5c3c56c2d66056b6a88fb7514def7bd9a9c65f9fe84e394012"
 
 
 def test_lambda_command_reports_match(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.counting import lambda_from_sigma, sigma_from_lambda, sigma_series
+from oracles.counting import lambda_from_sigma, sigma_from_lambda
 from oracles.gsets import (
     FiniteGSet,
     cyclic_decomposition,
@@ -231,7 +231,7 @@ def test_projection_formula():
 
 def test_sigma_series_examples():
     three = CyclicBurnside.orbit(3)
-    assert sigma_series(three, 3) == [
+    assert three.sigma_series(3) == [
         CyclicBurnside.ONE,
         three,
         2 * three,
@@ -263,7 +263,14 @@ def test_sigma_series_matches_materialized_symmetric_powers():
             expected = [
                 cyclic_decomposition(symmetric_power(base, j)) for j in range(7)
             ]
-            assert sigma_series(x, 6) == expected
+            assert x.sigma_series(6) == expected
+
+
+def _series_product(a, b):
+    """The product of two power series given by equally many coefficients,
+    truncated to that many."""
+    zero = CyclicBurnside.ZERO
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), zero) for k in range(len(a))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,14 +278,33 @@ def test_sigma_series_matches_materialized_symmetric_powers():
 def test_lambda_series_is_multiplicative_in_the_element(x, y):
     # lambda_t(x + y) = lambda_t(x) lambda_t(y), coefficientwise
     n = 6
-    lx = x.lambda_series(n)
-    ly = y.lambda_series(n)
-    lxy = (x + y).lambda_series(n)
-    for k in range(n + 1):
-        conv = CyclicBurnside.ZERO
-        for i in range(k + 1):
-            conv = conv + lx[i] * ly[k - i]
-        assert conv == lxy[k]
+    assert _series_product(x.lambda_series(n), y.lambda_series(n)) == (x + y).lambda_series(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(virtual_elements, virtual_elements)
+def test_sigma_series_is_multiplicative_in_the_element(x, y):
+    # sigma_t(x + y) = sigma_t(x) sigma_t(y), coefficientwise
+    n = 6
+    assert _series_product(x.sigma_series(n), y.sigma_series(n)) == (x + y).sigma_series(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(virtual_elements)
+def test_sigma_series_of_the_opposite_is_the_inverse_series(x):
+    # sigma_t(-x) = sigma_t(x)^(-1): the identity the lambda and norm-one
+    # routes read their coefficients off
+    n = 6
+    assert _series_product(x.sigma_series(n), (-x).sigma_series(n)) == [1] + [0] * n
+
+
+def test_series_truncation_must_be_a_nonnegative_int():
+    two = CyclicBurnside.orbit(2)
+    assert two.sigma_series(0) == two.lambda_series(0) == [CyclicBurnside.ONE]
+    for bad in (True, 2.0, -1):
+        for series in (two.sigma_series, two.lambda_series):
+            with pytest.raises(ValueError, match="truncation"):
+                series(bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,9 +327,10 @@ def test_lambda_series_marks_match_the_sigma_to_lambda_recursion(x, m):
     # lambda^j is read off the symmetric powers of -x; at every divisor
     # its mark must be what the recursion makes of the marks of sigma(x)
     lams = x.lambda_series(m)
-    assert len(lams) == m + 1
-    for d, sigmas in x._sigma_marks(m).items():
-        assert [lam.mark(d) for lam in lams] == lambda_from_sigma(sigmas)
+    sigmas = x.sigma_series(m)
+    assert len(lams) == len(sigmas) == m + 1
+    for d in divisors(math.lcm(*x.coeffs)):
+        assert [lam.mark(d) for lam in lams] == lambda_from_sigma([s.mark(d) for s in sigmas])
 
 
 def test_sigma_lambda_roundtrip_on_virtual_elements():
@@ -314,7 +341,7 @@ def test_sigma_lambda_roundtrip_on_virtual_elements():
     ]
     cases += [_random_element(rng, max_orbit=4, span=1) for _ in range(10)]
     for x in cases:
-        assert sigma_from_lambda(x.lambda_series(8)) == sigma_series(x, 8)
+        assert sigma_from_lambda(x.lambda_series(8)) == x.sigma_series(8)
 
 
 def test_equality_and_coercion():

@@ -173,27 +173,61 @@ def test_monicity_enforced():
 
 @pytest.mark.parametrize(
     "value",
-    [CyclicBurnside({1: 1, 2: -1}), BENCHMARKS[(2, 2)], torus_coefficient(3, 1), mark_matrix(3)],
-    ids=["CyclicBurnside", "TorusClass", "SchurElement", "MarkMatrix"],
+    [
+        CyclicBurnside({1: 1, 2: -1}),
+        BENCHMARKS[(2, 2)],
+        torus_coefficient(3, 1),
+        mark_matrix(3),
+        AlgebraSpec((2, 1)),
+    ],
+    ids=["CyclicBurnside", "TorusClass", "SchurElement", "MarkMatrix", "AlgebraSpec"],
 )
 def test_values_refuse_attribute_assignment_and_deletion(value):
     # hashes, equality and the memo tables holding these values rely on
-    # their attributes never changing
-    for name in type(value).__slots__:
+    # their attributes never changing; AlgebraSpec keeps its parts in a
+    # __dict__, the others in slots
+    names = type(value).__slots__ or list(vars(value))
+    assert names
+    message = f"{type(value).__name__} is immutable"
+    for name in names:
         before = getattr(value, name)
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match=message):
             setattr(value, name, before)
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match=message):
             delattr(value, name)
         assert getattr(value, name) is before
+
+
+def test_slotted_values_have_no_instance_dict():
+    # the shared immutable base has empty slots, so it adds no __dict__
+    for value in (CyclicBurnside.ONE, BENCHMARKS[(2, 2)], torus_coefficient(3, 1), mark_matrix(3)):
+        assert not hasattr(value, "__dict__")
 
 
 def test_coefficient_accessor():
     tc = BENCHMARKS[(4,)]
     assert tc.coefficient(2) == CyclicBurnside({4: 2, 2: -1})
     assert tc.coefficient(4) == CyclicBurnside.ONE
-    with pytest.raises(ValueError):
-        tc.coefficient(5)
+    assert tc.coefficient(0) == CyclicBurnside({2: 1, 1: -1})
+    for power in (5, -1, True, 1.0):
+        with pytest.raises(ValueError):
+            tc.coefficient(power)
+
+
+def test_degree_must_be_a_nonnegative_int():
+    # a bool or a float degree is refused as a value, not accepted as 1 or
+    # left to fail with a TypeError; degree 0 is the zero algebra's class
+    point = TorusClass(0, (CyclicBurnside.ONE,))
+    assert point.to_json() == {"n": 0, "coeffs": [{"power": 0, "artin": {"1": 1}}]}
+    assert TorusClass.from_json(point.to_json()) == point
+    for n in (True, 1.0, -1):
+        with pytest.raises(ValueError, match="n="):
+            TorusClass(n, (CyclicBurnside.ONE, CyclicBurnside.ZERO))
+        with pytest.raises(ValueError, match="n="):
+            TorusClass.from_json({"n": n, "coeffs": [{"power": 0, "artin": {"1": 1}}]})
+    for power in (True, 1.0, -1):
+        with pytest.raises(ValueError, match="power"):
+            TorusClass.from_json({"n": 1, "coeffs": [{"power": power, "artin": {"1": 1}}]})
 
 
 def test_point_count_examples():
