@@ -28,6 +28,13 @@ class _Immutable:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __setstate__(self, state):
+        # copy and pickle hand back a __dict__, or a (__dict__ or None,
+        # slots) pair, which plain assignment would refuse
+        attrs, slots = state if isinstance(state, tuple) else (state, None)
+        for name, value in {**(attrs or {}), **(slots or {})}.items():
+            object.__setattr__(self, name, value)
+
 
 def _check_positive(name: str, value) -> None:
     """Reject anything but a positive int; a bool is not an int here."""

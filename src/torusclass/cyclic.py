@@ -246,7 +246,13 @@ class CyclicBurnside(_Immutable):
 
     @classmethod
     def from_json(cls, obj: Mapping[str, int]) -> "CyclicBurnside":
-        return cls({int(k): c for k, c in obj.items()})
+        coeffs: dict[int, int] = {}
+        for key, c in obj.items():
+            k = int(key)
+            if k in coeffs:
+                raise ValueError(f"orbit size {k} appears twice")
+            coeffs[k] = c
+        return cls(coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:

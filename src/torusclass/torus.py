@@ -31,15 +31,14 @@ the reason, before doing any work:
   that program, at most RHO_COST_BOUND;
 * class_via_recursion: a direct stratification of affine n-space over
   the base, peeling off loci by the size of their vanishing set within
-  each fiber, computed on isomorphism types of fibered pieces: each
-  stratum's component types are counted from the marks of the subsets of
-  one fiber, grouped by how many points they take from each cycle length
-  of its return map (_stratum_types); a return map with cycles of several
-  lengths is factored into isotypic blocks, one per length, whose unit
-  classes multiply by TorusClass.__mul__, the one product of polynomials
-  in L, so only isotypic types are stratified; the TorusClass is memoized
-  per return-map cycle type, a piece over a larger base orbit being
-  induced from it.
+  each fiber, computed on isomorphism types of fibered pieces.  A type is
+  (t, a): a return map with a cycles of length t, the algebra
+  F_{q^t}^a.  Each stratum's component types are counted from the marks
+  of the subsets of one fiber (_stratum_types), and the TorusClass is
+  memoized per type, a piece over a larger base orbit being induced from
+  it.  L is the product of its isotypic blocks, one per distinct degree,
+  and class_via_recursion multiplies their classes once, by
+  TorusClass.__mul__, the one product of polynomials in L.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -51,7 +50,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache, reduce
-from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
 from .combinatorics import (
@@ -190,11 +188,15 @@ class TorusClass(_Immutable):
         n = obj["n"]
         _check_nonnegative("n", n)
         coeffs = [CyclicBurnside.ZERO] * (n + 1)
+        seen: set[int] = set()
         for entry in obj["coeffs"]:
             power = entry["power"]
             _check_nonnegative("power", power)
             if power > n:
                 raise ValueError(f"power {power} out of range 0..{n}")
+            if power in seen:
+                raise ValueError(f"power {power} appears twice")
+            seen.add(power)
             coeffs[n - power] = CyclicBurnside.from_json(entry["artin"])
         return cls(n, coeffs)
 
@@ -397,89 +399,53 @@ def char_poly_oracle(spec: AlgebraSpec) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@cache
-def _stratum_types(tau: Partition) -> tuple[tuple[tuple[tuple[int, Partition], int], ...], ...]:
+def _stratum_types(t: int, a: int) -> list[list[tuple[int, int, int, int]]]:
     """Component types of the strata of a fibered piece over a single
-    point whose return map sigma has cycle type tau, as ((m, tau'), count)
-    pairs, for each stratum index i in 0..r, r = sum(tau).
+    point whose return map sigma has a cycles of length t, as
+    (m, t', a', count) entries, for each stratum index s in 0..r, r = a t.
 
-    The stratum's base points are the i-subsets of the fiber, and its
-    components are their sigma-orbits.  Let sigma have a_t cycles of
-    length t.  Subsets are grouped by how many points s_t they take from
-    the cycles of each length t.  On those points sigma^d has a_t g cycles
-    of length t / g, g = gcd(d, t), and fixes a subset exactly when it is a
-    union of them, so the fixed subsets of a group number
-    prod_t C(a_t g, s_t g / t), or 0 when t does not divide s_t g.  From
-    these marks, the mark kernel CyclicBurnside._from_mark_list gives the
-    number of orbits of each length m.  An orbit of length m gives a
-    component of type (m, tau'): tau' is the cycle type of sigma^m, the
-    new return map, on the complement, which is again a union of those
-    cycles for d = m.  No subset is enumerated.
+    The stratum's base points are the s-subsets of the fiber, and its
+    components are their sigma-orbits.  For d dividing t, sigma^d has a d
+    cycles of length t / d and fixes a subset exactly when it is a union
+    of them, so the fixed s-subsets number C(a d, s d / t), or 0 when t
+    does not divide s d.  From these marks, the mark kernel
+    CyclicBurnside._from_mark_list gives the number of orbits of each
+    length m.  An orbit of length m gives a component whose new return map
+    sigma^m has a' = (r - s) m / t cycles of length t' = t / m on the
+    complement.  No subset is enumerated.
     """
-    lengths = sorted(Counter(tau).items(), reverse=True)
-    strata: list[dict[tuple[int, Partition], int]] = [{} for _ in range(sum(tau) + 1)]
-    for picks in product(*(range(a * t + 1) for t, a in lengths)):
-        blocks = tuple(zip(lengths, picks))
-        # a block taken wholly or not at all is fixed by every power of
-        # sigma: it adds a factor 1 to each mark and nothing to the order
-        partial = [(t, a, s) for (t, a), s in blocks if 0 < s < a * t]
-        divs = divisors(math.lcm(*(t for t, _, _ in partial)))
-        marks = []
-        for d in divs:
-            fixed = 1
-            for t, a, s in partial:
-                g = math.gcd(d, t)
-                if s * g % t:
-                    fixed = 0
-                    break
-                fixed *= math.comb(a * g, s * g // t)
-            marks.append(fixed)
-        counts = strata[sum(picks)]
-        for m, orbits in CyclicBurnside._from_mark_list(divs, marks).terms():
-            rest: list[int] = []
-            for (t, a), s in blocks:
-                g = math.gcd(m, t)
-                rest += [t // g] * ((a * t - s) * g // t)
-            key = (m, tuple(sorted(rest, reverse=True)))
-            counts[key] = counts.get(key, 0) + orbits
-    return tuple(tuple(sorted(counts.items(), reverse=True)) for counts in strata)
+    r = a * t
+    divs = divisors(t)
+    strata = []
+    for s in range(r + 1):
+        marks = [0 if s * d % t else math.comb(a * d, s * d // t) for d in divs]
+        orbits = CyclicBurnside._from_mark_list(divs, marks).terms()
+        strata.append([(m, t // m, (r - s) * m // t, count) for m, count in orbits])
+    return strata
 
 
 @cache
-def _units_of_type(tau: Partition) -> TorusClass:
+def _units_of_type(t: int, a: int) -> TorusClass:
     """Class of the unit scheme of a fibered piece over a single point
-    whose return map on the fiber has cycle type tau: a rank-r algebra
-    with r = sum(tau).
+    whose return map on the fiber has a cycles of length t: the algebra
+    F_{q^t}^a, of rank r = a t.  Affine r-space splits into the units, the
+    strata with vanishing set of size 1..r-1, and the zero section:
 
-    The algebra is the product of one factor per distinct cycle length t,
-    of type (t,) * a_t.  The units of a product are the product of the
-    units, so a mixed type is the product of the classes of its isotypic
-    blocks, each kept whole.  An isotypic type is stratified: affine
-    r-space splits into the units, the strata with vanishing set of size
-    1..r-1, and the zero section:
+        [units] = L^r - sum_s [units(stratum_s)] - 1.
 
-        [units] = L^r - sum_i [units(stratum_i)] - 1.
-
-    A stratum component of type (m, tau') lies over an m-orbit, so it is
+    A stratum component of type (m, t', a') lies over an m-orbit, so it is
     induced from the index-m subgroup, which sends [k] to [m k] in every
-    coefficient of the class of type tau'; tau' is again isotypic, of rank
-    r - i in stratum i.  Rank 0 is the zero algebra, whose unit scheme is
-    the point.
+    coefficient of the class of type (t', a'), of rank r - s.
     """
-    r = sum(tau)
-    if r == 0:
-        return TorusClass(0, (CyclicBurnside.ONE,))
-    lengths = Counter(tau)
-    if len(lengths) > 1:
-        return reduce(TorusClass.__mul__, (_units_of_type((t,) * a) for t, a in lengths.items()))
+    r = a * t
     # orbit-size -> multiplicity per coefficient, L^r first
     poly: list[dict[int, int]] = [{} for _ in range(r + 1)]
     poly[0][1] = 1
     poly[r][1] = -1
-    strata = _stratum_types(tau)
-    for i in range(1, r):
-        for (m, rest), count in strata[i]:
-            for j, c in enumerate(_units_of_type(rest).coeffs, i):
+    strata = _stratum_types(t, a)
+    for s in range(1, r):
+        for m, t2, a2, count in strata[s]:
+            for j, c in enumerate(_units_of_type(t2, a2).coeffs, s):
                 acc = poly[j]
                 for k, v in c.terms():
                     acc[m * k] = acc.get(m * k, 0) - count * v
@@ -487,10 +453,14 @@ def _units_of_type(tau: Partition) -> TorusClass:
 
 
 def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
-    """Stratification route: peel affine n-space over the point down to
-    the units, recursing into each stratum.  Over the point, the return
-    map on the single fiber is Frobenius, of cycle type spec.parts."""
-    return _units_of_type(spec.parts)
+    """Stratification route.  Over the point, the return map on the single
+    fiber is Frobenius, of cycle type spec.parts, and L is the product of
+    its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
+    of a product are the product of the units, so the class is the product
+    of the blocks' classes; the zero algebra's is the point."""
+    point = TorusClass(0, (CyclicBurnside.ONE,))
+    blocks = (_units_of_type(t, a) for t, a in Counter(spec.parts).items())
+    return reduce(TorusClass.__mul__, blocks, point)
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its

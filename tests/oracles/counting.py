@@ -1,9 +1,7 @@
 """Counting helpers the tests check the routes with.
 
 Compositions and multinomial counts enumerate the tuple-set bases; the
-recursions between sigma and lambda check the lambda route's series;
-the stratum bases check the recursion route's peeling against the
-restricted tuple-set classes.
+recursions between sigma and lambda check the lambda route's series.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ import math
 from functools import cache
 from typing import Sequence
 
-from torusclass.combinatorics import Composition, Partition
-from torusclass.cyclic import CyclicBurnside
-from torusclass.torus import AlgebraSpec, _stratum_types
+from torusclass.combinatorics import Composition
 
 
 def compositions(total: int) -> list[Composition]:
@@ -100,24 +96,3 @@ def sigma_from_lambda(lams: Sequence) -> list:
         sigs.append(acc)
     return sigs
 
-
-def recursion_stratum_base(spec: AlgebraSpec, alpha: Composition) -> CyclicBurnside:
-    """Zero-dimensional class of the stratum base reached from the initial
-    algebra by peeling vanishing sets of sizes alpha, in order, through
-    the recursion route's stratum types."""
-    pieces: dict[tuple[int, Partition], int] = {(1, spec.parts): 1}
-    r = spec.n
-    for i in alpha:
-        if not 1 <= i <= r:
-            raise ValueError(f"stratum index {i} out of range 1..{r}")
-        peeled: dict[tuple[int, Partition], int] = {}
-        for (b, tau), c in pieces.items():
-            for (m, rest), count in _stratum_types(tau)[i]:
-                key = (b * m, rest)
-                peeled[key] = peeled.get(key, 0) + c * count
-        pieces = peeled
-        r -= i
-    base: dict[int, int] = {}
-    for (b, _), c in pieces.items():
-        base[b] = base.get(b, 0) + c
-    return CyclicBurnside(base)

@@ -1,7 +1,9 @@
 """Finite sets with explicit generator actions: the brute-force test oracle.
 
-Products, orbit scans, fixed-point counts, symmetric powers, and the sets
-of disjoint-subset tuples acted on by the symmetric group.  Everything
+Products, orbit scans, fixed-point counts, symmetric powers, the sets of
+disjoint-subset tuples acted on by the symmetric group, and the strata of
+the recursion route's fibered pieces, found by walking the subsets of a
+fiber (subset_walk_stratum_types), mixed cycle types included.  Everything
 here is brute force on materialized elements, which is exactly the point:
 the tests check the structural formulas of the torusclass package against
 this engine, and no route of the package uses it.
@@ -16,11 +18,14 @@ the labels only by the functions that construct them.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 from torusclass.combinatorics import Composition, Partition
 from torusclass.cyclic import CyclicBurnside
+from torusclass.torus import AlgebraSpec
 
 from .counting import multinomial
 
@@ -115,6 +120,62 @@ def cycle_type(perm: Sequence[int]) -> Partition:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def subset_walk_stratum_types(tau: Partition, i: int) -> Counter:
+    """Component types of stratum i of the fibered piece over a point whose
+    return map sigma has cycle type tau, by walking every i-subset of one
+    fiber: each sigma-orbit of subsets, of length m, gives the type
+    (m, cycle type of sigma^m on the complement).  Mixed types included."""
+    r = sum(tau)
+    sigma = perm_of_cycle_type(tau)
+    counts = Counter()
+    pending = set()
+    for subset in combinations(range(r), i):
+        # subsets come in lexicographic order, so each orbit is first met
+        # at its least member and every later member is met exactly once
+        if subset in pending:
+            pending.remove(subset)
+            continue
+        m = 1
+        image = tuple(sorted(sigma[x] for x in subset))
+        while image != subset:
+            pending.add(image)
+            image = tuple(sorted(sigma[x] for x in image))
+            m += 1
+        rest = [x for x in range(r) if x not in subset]
+        position = {x: j for j, x in enumerate(rest)}
+        power = []
+        for x in rest:
+            y = x
+            for _ in range(m):
+                y = sigma[y]
+            power.append(position[y])
+        counts[(m, cycle_type(power))] += 1
+    return counts
+
+
+def recursion_stratum_base(spec: AlgebraSpec, alpha: Composition) -> CyclicBurnside:
+    """Zero-dimensional class of the stratum base reached from the initial
+    algebra by peeling vanishing sets of sizes alpha, in order, with the
+    stratum types taken from the subset walk."""
+    pieces: dict[tuple[int, Partition], int] = {(1, spec.parts): 1}
+    r = spec.n
+    for i in alpha:
+        if not 1 <= i <= r:
+            raise ValueError(f"stratum index {i} out of range 1..{r}")
+        peeled: dict[tuple[int, Partition], int] = {}
+        for (b, tau), c in pieces.items():
+            for (m, rest), count in subset_walk_stratum_types(tau, i).items():
+                key = (b * m, rest)
+                peeled[key] = peeled.get(key, 0) + c * count
+        pieces = peeled
+        r -= i
+    base: dict[int, int] = {}
+    for (b, _), c in pieces.items():
+        base[b] = base.get(b, 0) + c
+    return CyclicBurnside(base)
 
 
 def symmetric_group_generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -367,6 +367,13 @@ def test_text_and_json_roundtrip():
     assert str(CyclicBurnside.ZERO) == "0"
 
 
+def test_from_json_refuses_a_repeated_orbit_size():
+    # "1" and "01" both name orbit size 1; the second must not overwrite
+    with pytest.raises(ValueError, match="orbit size 1 appears twice"):
+        CyclicBurnside.from_json({"1": 1, "01": 2})
+    assert CyclicBurnside.from_json({"01": 2, "2": -1}) == CyclicBurnside({1: 2, 2: -1})
+
+
 def test_invalid_coefficients_rejected():
     with pytest.raises(ValueError):
         CyclicBurnside({0: 1})

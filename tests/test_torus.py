@@ -1,6 +1,8 @@
 """Unit-torus classes: three routes, strata, counting, rendering."""
 
+import copy
 import math
+import pickle
 import time
 from collections import Counter
 from functools import cache
@@ -10,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.counting import compositions, recursion_stratum_base
-from oracles.gsets import FiniteGSet, cycle_type, orbits, perm_of_cycle_type
+from oracles.counting import compositions
+from oracles.gsets import (
+    FiniteGSet,
+    cycle_type,
+    orbits,
+    perm_of_cycle_type,
+    recursion_stratum_base,
+    subset_walk_stratum_types,
+)
 from torusclass.combinatorics import divisors, partitions, power_cycle_type
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import mark_matrix, restrict_to_cyclic, torus_coefficient, tuple_set_class
@@ -21,7 +30,6 @@ from torusclass.torus import (
     TorusClass,
     _rho_marks,
     _stratum_types,
-    _units_of_type,
     char_poly_oracle,
     class_via_lambda,
     class_via_recursion,
@@ -171,7 +179,8 @@ def test_monicity_enforced():
         TorusClass(1, (CyclicBurnside.ONE,))
 
 
-@pytest.mark.parametrize(
+# one value of each immutable value class
+each_value_class = pytest.mark.parametrize(
     "value",
     [
         CyclicBurnside({1: 1, 2: -1}),
@@ -182,6 +191,9 @@ def test_monicity_enforced():
     ],
     ids=["CyclicBurnside", "TorusClass", "SchurElement", "MarkMatrix", "AlgebraSpec"],
 )
+
+
+@each_value_class
 def test_values_refuse_attribute_assignment_and_deletion(value):
     # hashes, equality and the memo tables holding these values rely on
     # their attributes never changing; AlgebraSpec keeps its parts in a
@@ -196,6 +208,23 @@ def test_values_refuse_attribute_assignment_and_deletion(value):
         with pytest.raises(AttributeError, match=message):
             delattr(value, name)
         assert getattr(value, name) is before
+
+
+@each_value_class
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_survive_copy_and_pickle(value, duplicate):
+    # restoring the state of a copy must not trip the refusal of assignment
+    twin = duplicate(value)
+    names = type(value).__slots__ or list(vars(value))
+    assert all(getattr(twin, name) == getattr(value, name) for name in names)
+    if type(value).__hash__ is not object.__hash__:
+        assert twin == value and hash(twin) == hash(value)
+    with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+        setattr(twin, names[0], getattr(value, names[0]))
 
 
 def test_slotted_values_have_no_instance_dict():
@@ -230,6 +259,18 @@ def test_degree_must_be_a_nonnegative_int():
             TorusClass.from_json({"n": 1, "coeffs": [{"power": power, "artin": {"1": 1}}]})
 
 
+def test_from_json_refuses_a_repeated_power():
+    # a second entry for the same power must not overwrite the first
+    entries = [
+        {"power": 1, "artin": {"1": 1}},
+        {"power": 0, "artin": {"1": -1}},
+        {"power": 0, "artin": {"2": 5}},
+    ]
+    with pytest.raises(ValueError, match="power 0 appears twice"):
+        TorusClass.from_json({"n": 1, "coeffs": entries})
+    assert TorusClass.from_json({"n": 1, "coeffs": entries[:2]}) == class_via_lambda(AlgebraSpec((1,)))
+
+
 def test_point_count_examples():
     assert BENCHMARKS[(2,)].count_points(3, 1) == 8
     assert BENCHMARKS[(2,)].count_points(3, 2) == 64
@@ -249,6 +290,18 @@ def test_point_counts_match_oracle_on_a_grid():
             for q in (2, 3, 5):
                 for e in (1, 2, 3):
                     assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
+
+
+@pytest.mark.parametrize("parts", [(2,) * 12, (3,) * 10, (6, 6, 6, 6, 4, 4, 4)], ids=str)
+@pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.__name__)
+def test_routes_match_oracles_on_repeated_parts(parts, route):
+    # a repeated degree is one isotypic block of the recursion route
+    spec = AlgebraSpec(parts)
+    tc = route(spec)
+    assert tc.char_poly() == char_poly_oracle(spec)
+    for q in (2, 3, 4, 5):
+        for e in (1, 2, 3):
+            assert tc.count_points(q, e) == point_count_oracle(spec, q, e), (q, e)
 
 
 def test_point_count_input_validation():
@@ -507,59 +560,47 @@ def _materialised_stratum_types(b, tau, i):
     return types
 
 
+def _isotypic_types(r):
+    """The (t, a) with a t = r: a cycles of length t."""
+    return [(t, r // t) for t in divisors(r)]
+
+
 def test_stratum_types_match_materialised_strata():
     for r in range(1, 8):
-        for tau in partitions(r):
+        for t, a in _isotypic_types(r):
+            strata = _stratum_types(t, a)
             for i in range(1, r):
                 for b in (1, 2, 3):
-                    expected = _materialised_stratum_types(b, tau, i)
-                    got = Counter({(b * m, rest): c for (m, rest), c in _stratum_types(tau)[i]})
-                    assert got == expected, (b, tau, i)
-
-
-@cache
-def _subset_walk_stratum_types(tau, i):
-    """Component types of stratum i of the piece over a point with return
-    map of cycle type tau, by walking every i-subset of one fiber: each
-    sigma-orbit of subsets, of length m, gives the type (m, cycle type of
-    sigma^m on the complement)."""
-    r = sum(tau)
-    sigma = perm_of_cycle_type(tau)
-    counts = Counter()
-    pending = set()
-    for subset in combinations(range(r), i):
-        # subsets come in lexicographic order, so each orbit is first met
-        # at its least member and every later member is met exactly once
-        if subset in pending:
-            pending.remove(subset)
-            continue
-        m = 1
-        image = tuple(sorted(sigma[x] for x in subset))
-        while image != subset:
-            pending.add(image)
-            image = tuple(sorted(sigma[x] for x in image))
-            m += 1
-        rest = [x for x in range(r) if x not in subset]
-        position = {x: j for j, x in enumerate(rest)}
-        power = []
-        for x in rest:
-            y = x
-            for _ in range(m):
-                y = sigma[y]
-            power.append(position[y])
-        counts[(m, cycle_type(power))] += 1
-    return counts
+                    expected = _materialised_stratum_types(b, (t,) * a, i)
+                    got = Counter({(b * m, (t2,) * a2): c for m, t2, a2, c in strata[i]})
+                    assert got == expected, (b, t, a, i)
 
 
 def test_stratum_types_match_the_subset_walk():
-    for r in range(1, 11):
-        for tau in partitions(r):
-            strata = _stratum_types(tau)
+    for r in range(1, 13):
+        for t, a in _isotypic_types(r):
+            strata = _stratum_types(t, a)
             assert len(strata) == r + 1
             # the empty subset and the whole fiber are fixed by sigma
-            assert strata[0] == (((1, tau), 1),) and strata[r] == (((1, ()), 1),)
+            assert strata[0] == [(1, t, a, 1)] and strata[r] == [(1, t, 0, 1)]
             for i in range(1, r):
-                assert Counter(dict(strata[i])) == _subset_walk_stratum_types(tau, i), (tau, i)
+                got = Counter({(m, (t2,) * a2): c for m, t2, a2, c in strata[i]})
+                assert got == subset_walk_stratum_types((t,) * a, i), (t, a, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, 60 // t))))
+def test_isotypic_strata_partition_the_subsets(block):
+    # every s-subset of the fiber lies in exactly one orbit, of length m
+    # dividing t, and leaves a' cycles of length t' = t / m on the rest
+    t, a = block
+    r = a * t
+    strata = _stratum_types(t, a)
+    assert len(strata) == r + 1
+    for s, entries in enumerate(strata):
+        assert sum(m * count for m, _, _, count in entries) == math.comb(r, s), (t, a, s)
+        for m, t2, a2, count in entries:
+            assert t % m == 0 and t2 == t // m and t2 * a2 == r - s and count > 0
 
 
 @cache
@@ -575,7 +616,7 @@ def _units_over_orbit(b, tau):
     poly[r] = base
     poly[0] = -base
     for i in range(1, r):
-        for (m, rest), count in _subset_walk_stratum_types(tau, i).items():
+        for (m, rest), count in subset_walk_stratum_types(tau, i).items():
             for j, c in enumerate(_units_over_orbit(b * m, rest)):
                 poly[j] = poly[j] - count * c
     return tuple(poly)
@@ -590,23 +631,23 @@ def test_units_of_type_is_induced_along_the_base_orbit(tau, b):
     # a piece over a b-orbit is induced from the index-b subgroup, which
     # sends [k] to [b k] in every coefficient
     assert _units_over_orbit(b, tau) == tuple(
-        c.induce(b) for c in reversed(_units_of_type(tau).coeffs)
+        c.induce(b) for c in reversed(class_via_recursion(AlgebraSpec(tau)).coeffs)
     )
 
 
 @cache
 def _unfactored_units_of_type(tau):
     """The recursion without factoring over cycle lengths: every type,
-    mixed ones included, is stratified through _stratum_types."""
+    mixed ones included, is stratified, with the strata's types taken
+    from the subset walk."""
     r = sum(tau)
     if r == 0:
         return (CyclicBurnside.ONE,)
     poly = [{} for _ in range(r + 1)]
     poly[r][1] = 1
     poly[0][1] = -1
-    strata = _stratum_types(tau)
     for i in range(1, r):
-        for (m, rest), count in strata[i]:
+        for (m, rest), count in subset_walk_stratum_types(tau, i).items():
             for j, c in enumerate(_unfactored_units_of_type(rest)):
                 for k, v in c.coeffs.items():
                     poly[j][m * k] = poly[j].get(m * k, 0) - count * v
