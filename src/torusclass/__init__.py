@@ -5,16 +5,14 @@ Lefschetz class with zero-dimensional coefficients, by three independent
 algorithms, and cross-checked by point counting over extensions.
 """
 
-from .combinatorics import Composition, Partition, partitions, power_cycle_type
+from .combinatorics import Partition, partitions, power_cycle_type
 from .cyclic import CyclicBurnside
 from .schur import (
     MarkMatrix,
     SchurElement,
     lambda_standard,
     mark_matrix,
-    restrict_to_cyclic,
     torus_coefficient,
-    tuple_set_class,
 )
 from .torus import (
     AlgebraSpec,
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec",
-    "Composition",
     "CyclicBurnside",
     "MarkMatrix",
     "Partition",
@@ -48,8 +45,6 @@ __all__ = [
     "partitions",
     "point_count_oracle",
     "power_cycle_type",
-    "restrict_to_cyclic",
     "spec_class",
     "torus_coefficient",
-    "tuple_set_class",
 ]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .combinatorics import is_prime_power
@@ -94,7 +95,8 @@ def cmd_lambda(args) -> int:
     matches = None
     if args.i >= 1:
         sign = -1 if args.i % 2 == 1 else 1
-        matches = torus_coefficient(args.n, args.i) == sign * element
+        signed = {mu: sign * c for mu, c in element.basis.items()}
+        matches = torus_coefficient(args.n, args.i).basis == signed
     if args.format == "json":
         payload = element.to_json()
         if matches is not None:
@@ -148,12 +150,31 @@ def cmd_marks(args) -> int:
     return 0
 
 
+def _check_grid_prints(spec: AlgebraSpec, qmax: int, emax: int) -> None:
+    """Refuse, before any route runs, a grid whose largest point count has
+    more digits than int to str conversion allows (a limit of 0 is none).
+    Counts grow with q and e, so the largest is the oracle's at the largest
+    field size q <= qmax and at emax.  It is at least q^(n (emax - 1)), which
+    refuses a grid far past the limit without computing the count."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    q = next(q for q in range(qmax, 1, -1) if is_prime_power(q))
+    if limit and (
+        spec.n * (emax - 1) * math.log10(q) > limit + 1
+        or point_count_oracle(spec, q, emax) >= 10**limit
+    ):
+        raise ValueError(
+            f"--qmax {qmax} --emax {emax}: the point count at q={q} e={emax} has more "
+            f"than {limit} digits, past the interpreter's limit for printing an integer"
+        )
+
+
 def cmd_verify(args) -> int:
     spec = AlgebraSpec.parse(args.partition)
     if args.qmax < 2:
         raise ValueError("--qmax must be at least 2")
     if args.emax < 1:
         raise ValueError("--emax must be at least 1")
+    _check_grid_prints(spec, args.qmax, args.emax)
     results, first = _all_routes(spec)
     reference = results[first]
     failures = 0

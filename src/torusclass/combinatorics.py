@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from functools import cache
 
-Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 
 

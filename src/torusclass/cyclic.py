@@ -22,8 +22,7 @@ element into cycles (its base change along d), and the invariant
 multisets of a permutation are counted by an integer series, virtual
 elements included: one counting pass per divisor.  Nothing is
 materialized.  Alternating powers need no second series: sigma_t(-x) =
-sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x), and
-lambda_series is the one place that applies that sign.
+sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x).
 
 Every route pulls marks back the same way, through one kernel
 (_from_mark_list): the marks at the divisors of L are a zeta transform of
@@ -148,34 +147,11 @@ class CyclicBurnside(_Immutable):
         return sum(k * c for k, c in self._coeffs.items() if e % k == 0)
 
     @classmethod
-    def from_marks(cls, fix: Mapping[int, int]) -> "CyclicBurnside":
-        """Recover an element from its marks {d: mark(d)} at exactly the
-        divisors d of an order L, the largest key.
-
-        Marks of any element whose orbit sizes divide L round-trip
-        exactly; a missing or extra key is rejected, and so is an
-        inconsistent vector, which shows up as a non-integral division.
-        The inversion is _from_mark_list, at a cost of O(D * omega) for D
-        divisors and omega distinct primes of L.
-        """
-        if not fix:
-            raise ValueError("mark vector is empty")
-        order = max(fix)
-        divs = divisors(order)
-        if set(fix) != set(divs):
-            missing = sorted(set(divs) - set(fix))
-            extra = sorted(set(fix) - set(divs))
-            raise ValueError(
-                f"marks must be keyed by the divisors of {order}: "
-                f"missing {missing}, extra {extra}"
-            )
-        return cls._from_mark_list(divs, [fix[d] for d in divs])
-
-    @classmethod
     def _from_mark_list(cls, divs: list[int], values: Sequence[int]) -> "CyclicBurnside":
-        """The kernel of from_marks, for callers that built the ascending
-        divisor list of the order L themselves: values[j] is the mark at
-        divs[j], and no key is checked.
+        """Recover an element from its marks at the ascending divisors divs
+        of an order L: values[j] is the mark at divs[j].  Callers build
+        divs themselves, so no key is checked; an inconsistent vector shows
+        up as a non-integral division and raises ValueError.
 
         The marks are fix(d) = sum_{k | d} g(k) with g(k) = k a_k, a zeta
         transform over the divisor lattice.  It is inverted one prime p of
@@ -208,11 +184,6 @@ class CyclicBurnside(_Immutable):
                 coeffs[d] = a
         return cls(coeffs)
 
-    def induce(self, d: int) -> "CyclicBurnside":
-        """Additive induction along the index-d subgroup: [k] -> [d k]."""
-        _check_positive("d", d)
-        return CyclicBurnside({d * k: c for k, c in self._coeffs.items()})
-
     def base_change(self, d: int) -> "CyclicBurnside":
         """Restriction to the index-d subgroup:
         [k] -> gcd(d, k) [k / gcd(d, k)]."""
@@ -236,16 +207,13 @@ class CyclicBurnside(_Immutable):
         counts = [invariant_multiset_counts(self.base_change(d)._coeffs, truncation) for d in divs]
         return [self._from_mark_list(divs, marks) for marks in zip(*counts)]
 
-    def lambda_series(self, truncation: int) -> list["CyclicBurnside"]:
-        """Alternating powers lambda^0..lambda^truncation: sigma_t(-x) is
-        the inverse of sigma_t(x), so lambda^j(x) = (-1)^j sigma^j(-x)."""
-        return [s if j % 2 == 0 else -s for j, s in enumerate((-self).sigma_series(truncation))]
-
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, int]) -> "CyclicBurnside":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"expected a JSON object of orbit sizes, not {type(obj).__name__}")
         coeffs: dict[int, int] = {}
         for key, c in obj.items():
             k = int(key)

@@ -14,13 +14,16 @@ permutation per cycle type of n (the marks), are derived on demand, one
 cycle type at a time: the mark of ``[P_mu]`` at cycle type lam counts the
 ways to fill the blocks of mu with the cycles of lam.
 
-Multiplication is pointwise on marks.  Results are pulled back to basis
-coordinates against the mark matrix, which is triangular: the mark of
-``[P_mu]`` at lam is zero unless lam refines mu, and the diagonal has no
-zero, which certifies that the spanning classes are linearly independent.
-The solve is forward substitution on integers; a remainder means the
-marks cannot come from a real element of the subring and raises
-ArithmeticError.
+An element given by its marks, such as an alternating power of the
+standard set, is pulled back to basis coordinates against the mark
+matrix, which is triangular: the mark of ``[P_mu]`` at lam is zero unless
+lam refines mu, and the diagonal has no zero, which certifies that the
+spanning classes are linearly independent.  The solve is forward
+substitution on integers; a remainder means the marks cannot come from a
+real element of the subring and raises ArithmeticError.
+
+The module backs the lambda, rho and marks commands; the unit-torus
+routes compute in their own algebras and do not use it.
 """
 
 from __future__ import annotations
@@ -30,16 +33,7 @@ from collections import Counter
 from functools import cache
 from typing import Mapping
 
-from .combinatorics import (
-    Composition,
-    Partition,
-    _check_positive,
-    _Immutable,
-    divisors,
-    partitions,
-    power_cycle_type,
-)
-from .cyclic import CyclicBurnside
+from .combinatorics import Partition, _check_positive, _Immutable, partitions
 from .series import invariant_multiset_counts
 
 # Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
@@ -91,7 +85,7 @@ class MarkMatrix(_Immutable):
     columns by cycle type lam, both in lex-descending order.  An entry is
     zero unless lam refines mu, so the matrix is upper triangular."""
 
-    __slots__ = ("n", "index", "entries", "_position")
+    __slots__ = ("n", "index", "entries")
 
     def __init__(self, n: int):
         index = tuple(partitions(n))
@@ -103,10 +97,6 @@ class MarkMatrix(_Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_position", {p: i for i, p in enumerate(index)})
-
-    def entry(self, mu: Partition, lam: Partition) -> int:
-        return self.entries[self._position[mu]][self._position[lam]]
 
     def basis_from_marks(self, marks: Mapping[Partition, int]) -> dict[Partition, int]:
         """Solve marks[lam] = sum_mu coeff[mu] * entries[mu][lam] by forward
@@ -169,15 +159,6 @@ class SchurElement(_Immutable):
                 raise ValueError(f"mark vector is missing cycle type {lam}")
         return cls(n, matrix.basis_from_marks(marks))
 
-    @classmethod
-    def zero(cls, n: int) -> "SchurElement":
-        return cls.from_basis(n, {})
-
-    @classmethod
-    def unit(cls, n: int) -> "SchurElement":
-        """The one-point tuple set (the whole of {1..n} as a single block)."""
-        return cls.from_basis(n, {(n,): 1})
-
     @property
     def basis(self) -> dict[Partition, int]:
         return dict(self._basis)
@@ -199,63 +180,13 @@ class SchurElement(_Immutable):
         """The mark at the identity: the virtual size of the set."""
         return self._mark((1,) * self.n)
 
-    def _coerce(self, other) -> "SchurElement":
-        if isinstance(other, SchurElement):
-            if other.n != self.n:
-                raise ValueError("degree mismatch")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return SchurElement.from_basis(self.n, {(self.n,): other})
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self._coerce(other)
         if not isinstance(other, SchurElement):
             return NotImplemented
         return self.n == other.n and self._basis == other._basis
 
     def __hash__(self) -> int:
-        # an element equal to an int, a multiple of the unit, hashes like it
-        if self._basis.keys() <= {(self.n,)}:
-            return hash(self._basis.get((self.n,), 0))
         return hash((self.n, tuple(sorted(self._basis.items()))))
-
-    def __add__(self, other) -> "SchurElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        basis = dict(self._basis)
-        for mu, c in other._basis.items():
-            basis[mu] = basis.get(mu, 0) + c
-        return SchurElement(self.n, {mu: c for mu, c in basis.items() if c != 0})
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SchurElement":
-        return SchurElement(self.n, {mu: -c for mu, c in self._basis.items()})
-
-    def __sub__(self, other) -> "SchurElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "SchurElement":
-        if isinstance(other, int) and not isinstance(other, bool):
-            return SchurElement(
-                self.n, {mu: other * c for mu, c in self._basis.items() if other * c != 0}
-            )
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # multiplication is pointwise on ghost coordinates; pull the result
-        # back to the basis, which certifies closure
-        theirs = other.marks
-        marks = {lam: v * theirs[lam] for lam, v in self.marks.items()}
-        return SchurElement.from_marks(self.n, marks)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {
@@ -289,26 +220,6 @@ class SchurElement(_Immutable):
         return f"SchurElement(n={self.n}, basis={self._basis!r})"
 
 
-def tuple_set_class(n: int, alpha: Composition) -> SchurElement:
-    """Class of the set of disjoint-subset tuples with sizes alpha inside
-    an n-set, on the partition basis.
-
-    The tuple order is immaterial up to isomorphism and a sub-n tuple is
-    isomorphic to its complement-padded one, so the canonical basis key is
-    alpha padded with n - sum(alpha) and sorted descending.
-    """
-    _check_degree(n)
-    alpha = tuple(alpha)
-    if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in alpha):
-        raise ValueError("tuple sizes must be positive integers")
-    weight = sum(alpha)
-    if weight > n:
-        raise ValueError(f"tuple sizes sum to {weight}, exceeding n={n}")
-    padded = alpha if weight == n else alpha + (n - weight,)
-    mu = tuple(sorted(padded, reverse=True))
-    return SchurElement.from_basis(n, {mu: 1})
-
-
 def torus_coefficient(n: int, i: int) -> SchurElement:
     """The universal degree-n coefficient of weight i: the alternating sum
     of tuple-set classes over all compositions of i, signed by tuple length.
@@ -318,7 +229,7 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
     each weighted by its number of orderings, len(kappa)! / prod m_j!.
 
     Restricting it along a choice of generator yields the coefficient of
-    L^(n-i) in the class of the unit torus; see restrict_to_cyclic.
+    L^(n-i) in the class of the unit torus.
     """
     _check_degree(n)
     if not 1 <= i <= n:
@@ -352,18 +263,3 @@ def lambda_standard(n: int, i: int) -> SchurElement:
         opposite = {c: -m for c, m in Counter(lam).items()}
         marks[lam] = sign * invariant_multiset_counts(opposite, i)[i]
     return SchurElement.from_marks(n, marks)
-
-
-def restrict_to_cyclic(x: SchurElement, lam) -> CyclicBurnside:
-    """Restriction along the procyclic generator acting with cycle type lam.
-
-    The restricted action has orbit sizes dividing lcm(lam), which can
-    exceed n, so marks are taken at every divisor of lcm(lam): the mark at
-    d is x's mark at the cycle type of the d-th power of the generator,
-    taken once per distinct type, and the mark kernel pulls them back.
-    """
-    lam = _check_partition(x.n, lam)
-    divs = divisors(math.lcm(*lam))
-    types = [power_cycle_type(lam, d) for d in divs]
-    marks = {t: x._mark(t) for t in dict.fromkeys(types)}
-    return CyclicBurnside._from_mark_list(divs, [marks[t] for t in types])

@@ -185,19 +185,22 @@ class TorusClass(_Immutable):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TorusClass":
-        n = obj["n"]
+        n = _json_field(obj, "n")
         _check_nonnegative("n", n)
+        entries = _json_field(obj, "coeffs")
+        if not isinstance(entries, list):
+            raise ValueError(f"coeffs must be a JSON array, not {type(entries).__name__}")
         coeffs = [CyclicBurnside.ZERO] * (n + 1)
         seen: set[int] = set()
-        for entry in obj["coeffs"]:
-            power = entry["power"]
+        for entry in entries:
+            power = _json_field(entry, "power")
             _check_nonnegative("power", power)
             if power > n:
                 raise ValueError(f"power {power} out of range 0..{n}")
             if power in seen:
                 raise ValueError(f"power {power} appears twice")
             seen.add(power)
-            coeffs[n - power] = CyclicBurnside.from_json(entry["artin"])
+            coeffs[n - power] = CyclicBurnside.from_json(_json_field(entry, "artin"))
         return cls(n, coeffs)
 
     def text(self) -> str:
@@ -211,6 +214,15 @@ class TorusClass(_Immutable):
 
     def __repr__(self) -> str:
         return f"TorusClass(n={self.n}, {self.text()!r})"
+
+
+def _json_field(obj, key: str):
+    """obj[key] of a JSON object, or a ValueError naming what is missing."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a JSON object with key {key!r}, not {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"JSON object is missing key {key!r}")
+    return obj[key]
 
 
 class _Dialect(NamedTuple):

@@ -1,7 +1,8 @@
 """Brute-force oracles and counting helpers that only the tests use.
 
 The torusclass package ships the three routes; the tests check them
-against the g-set engine (``oracles.gsets``) and the enumerations in
-``oracles.counting``.  pytest puts ``tests/`` on ``sys.path``, so this
-package is importable as ``oracles``.
+against the g-set engine (``oracles.gsets``), the enumerations in
+``oracles.counting``, and the ring operations and maps that no command
+uses (``oracles.schur``, ``oracles.cyclic``).  pytest puts ``tests/`` on
+``sys.path``, so this package is importable as ``oracles``.
 """

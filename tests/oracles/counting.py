@@ -10,7 +10,7 @@ import math
 from functools import cache
 from typing import Sequence
 
-from torusclass.combinatorics import Composition
+Composition = tuple[int, ...]
 
 
 def compositions(total: int) -> list[Composition]:

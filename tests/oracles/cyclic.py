@@ -1,0 +1,33 @@
+"""Procyclic Burnside maps that no route uses, kept to check the ring with:
+the keyed mark inversion, induction and the lambda series."""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from torusclass.combinatorics import _check_positive, divisors
+from torusclass.cyclic import CyclicBurnside
+
+
+def from_marks(fix: Mapping[int, int]) -> CyclicBurnside:
+    """The element with marks {d: mark(d)} at exactly the divisors of the
+    largest key; a missing or extra key is rejected."""
+    if not fix:
+        raise ValueError("mark vector is empty")
+    order = max(fix)
+    divs = divisors(order)
+    if set(fix) != set(divs):
+        raise ValueError(f"marks must be keyed by the divisors of {order}, not {sorted(fix)}")
+    return CyclicBurnside._from_mark_list(divs, [fix[d] for d in divs])
+
+
+def induce(x: CyclicBurnside, d: int) -> CyclicBurnside:
+    """Additive induction along the index-d subgroup: [k] -> [d k]."""
+    _check_positive("d", d)
+    return CyclicBurnside({d * k: c for k, c in x.terms()})
+
+
+def lambda_series(x: CyclicBurnside, truncation: int) -> list[CyclicBurnside]:
+    """Alternating powers lambda^0..lambda^truncation: sigma_t(-x) is the
+    inverse of sigma_t(x), so lambda^j(x) = (-1)^j sigma^j(-x)."""
+    return [s if j % 2 == 0 else -s for j, s in enumerate((-x).sigma_series(truncation))]

@@ -23,11 +23,11 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-from torusclass.combinatorics import Composition, Partition
+from torusclass.combinatorics import Partition
 from torusclass.cyclic import CyclicBurnside
 from torusclass.torus import AlgebraSpec
 
-from .counting import multinomial
+from .counting import Composition, multinomial
 
 # Hard cap on materialized elements.  Anything larger is a sign the caller
 # should be using the structural formulas instead of the oracle engine.

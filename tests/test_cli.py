@@ -89,6 +89,26 @@ def test_output_is_pinned(capsys):
     assert digest.hexdigest() == "93a411baab1ecb5c3c56c2d66056b6a88fb7514def7bd9a9c65f9fe84e394012"
 
 
+def test_schur_command_output_is_pinned(capsys):
+    # one SHA-256 over the lambda, rho and marks commands for n <= 8, in
+    # both formats: 176 calls whose every byte a refactor of the Schur ring
+    # must leave as is
+    digest = hashlib.sha256()
+    calls = 0
+    for n in range(1, 9):
+        commands = [["lambda", "--n", str(n), "--i", str(i)] for i in range(n + 1)]
+        commands += [["rho", "--n", str(n), "--i", str(i)] for i in range(1, n + 1)]
+        commands.append(["marks", "--n", str(n)])
+        for command in commands:
+            for fmt in ("text", "json"):
+                argv = [*command, "--format", fmt]
+                code, out, _ = _run(capsys, argv)
+                digest.update(f"{' '.join(argv)} {code}\n{out}".encode())
+                calls += 1
+    assert calls == 176
+    assert digest.hexdigest() == "9e5f55dcc7709ea071d8e975c73c1cc6b07dbc5a5e7d8a75095deb38f12943aa"
+
+
 def test_lambda_command_reports_match(capsys):
     code, out, _ = _run(capsys, ["lambda", "--n", "4", "--i", "2"])
     assert code == 0
@@ -331,9 +351,40 @@ def test_bad_verify_grid_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int printing limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--partition", "1", "--emax", "7000"],
+        ["--partition", "13,11,7,5,3,2", "--emax", "300"],
+        ["--partition", "2", "--qmax", "10", "--emax", "1000000000"],
+    ],
+)
+def test_verify_refuses_a_grid_it_could_not_print(capsys, argv):
+    # the largest point count has more digits than int to str allows:
+    # refused before any route runs, so no line of the grid is printed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --qmax ") and "--emax " in err
+
+
+def test_verify_prints_a_grid_just_inside_the_limit(capsys, monkeypatch):
+    # at q = 5, e = 61 the count 5^61 - 1 has 43 digits, and at e = 62 it has 44
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 43, raising=False)
+    code, out, _ = _run(capsys, ["verify", "--partition", "1", "--emax", "61"])
+    assert code == 0
+    assert f"q=5 e=61 count={5**61 - 1} oracle={5**61 - 1} ok" in out
+    code, out, err = _run(capsys, ["verify", "--partition", "1", "--emax", "62"])
+    assert (code, out) == (2, "")
+    assert "q=5 e=62" in err
+
+
 SHIPPED = {
     "AlgebraSpec",
-    "Composition",
     "CyclicBurnside",
     "MarkMatrix",
     "Partition",
@@ -349,17 +400,15 @@ SHIPPED = {
     "partitions",
     "point_count_oracle",
     "power_cycle_type",
-    "restrict_to_cyclic",
     "spec_class",
     "torus_coefficient",
-    "tuple_set_class",
 }
 
 
 def test_package_ships_only_the_routes():
     # the routes, their rings and oracles, and the CLI; the brute-force
     # g-set engine and the test-only helpers live under tests/oracles
-    assert len(torusclass.__all__) == len(SHIPPED) == 21
+    assert len(torusclass.__all__) == len(SHIPPED) == 18
     assert set(torusclass.__all__) == SHIPPED
     for name in torusclass.__all__:
         assert getattr(torusclass, name) is not None, name

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.counting import compositions
+from oracles.cyclic import from_marks, induce
 from oracles.gsets import (
     FiniteGSet,
     cycle_type,
@@ -21,9 +22,10 @@ from oracles.gsets import (
     recursion_stratum_base,
     subset_walk_stratum_types,
 )
+from oracles.schur import restrict, tuple_set_class
 from torusclass.combinatorics import divisors, partitions, power_cycle_type
 from torusclass.cyclic import CyclicBurnside
-from torusclass.schur import mark_matrix, restrict_to_cyclic, torus_coefficient, tuple_set_class
+from torusclass.schur import mark_matrix, torus_coefficient
 from torusclass.torus import (
     AlgebraSpec,
     OutsideDomain,
@@ -271,6 +273,26 @@ def test_from_json_refuses_a_repeated_power():
     assert TorusClass.from_json({"n": 1, "coeffs": entries[:2]}) == class_via_lambda(AlgebraSpec((1,)))
 
 
+@pytest.mark.parametrize(
+    "load, obj, message",
+    [
+        (TorusClass.from_json, {"n": 1}, "missing key 'coeffs'"),
+        (TorusClass.from_json, {"coeffs": []}, "missing key 'n'"),
+        (TorusClass.from_json, {"n": 0, "coeffs": [{"artin": {"1": 1}}]}, "missing key 'power'"),
+        (TorusClass.from_json, {"n": 0, "coeffs": [{"power": 0}]}, "missing key 'artin'"),
+        (TorusClass.from_json, [], "JSON object with key 'n', not list"),
+        (TorusClass.from_json, {"n": 0, "coeffs": {}}, "coeffs must be a JSON array, not dict"),
+        (TorusClass.from_json, {"n": 0, "coeffs": [0]}, "JSON object with key 'power', not int"),
+        (CyclicBurnside.from_json, [], "JSON object of orbit sizes, not list"),
+    ],
+)
+def test_from_json_refuses_malformed_input_with_a_value_error(load, obj, message):
+    # a missing key or a wrong type is a bad value, not a KeyError,
+    # TypeError or AttributeError from inside the loader
+    with pytest.raises(ValueError, match=message):
+        load(obj)
+
+
 def test_point_count_examples():
     assert BENCHMARKS[(2,)].count_points(3, 1) == 8
     assert BENCHMARKS[(2,)].count_points(3, 2) == 64
@@ -416,9 +438,9 @@ def test_one_restriction_pass_matches_one_call_per_coefficient():
             got = class_via_universal(AlgebraSpec(parts)).coeffs
             assert len(got) == n + 1
             for rho, coeff in zip(rhos, got[1:]):
-                assert coeff == restrict_to_cyclic(rho, parts)
+                assert coeff == restrict(rho, parts)
                 marks = {d: rho.mark(power_cycle_type(parts, d)) for d in divs}
-                assert coeff == CyclicBurnside.from_marks(marks)
+                assert coeff == from_marks(marks)
 
 
 @st.composite
@@ -631,7 +653,7 @@ def test_units_of_type_is_induced_along_the_base_orbit(tau, b):
     # a piece over a b-orbit is induced from the index-b subgroup, which
     # sends [k] to [b k] in every coefficient
     assert _units_over_orbit(b, tau) == tuple(
-        c.induce(b) for c in reversed(class_via_recursion(AlgebraSpec(tau)).coeffs)
+        induce(c, b) for c in reversed(class_via_recursion(AlgebraSpec(tau)).coeffs)
     )
 
 
@@ -671,7 +693,7 @@ def test_stratum_bases_match_restricted_tuple_classes():
             spec = AlgebraSpec(parts)
             for w in range(1, n):
                 for alpha in compositions(w):
-                    assert recursion_stratum_base(spec, alpha) == restrict_to_cyclic(
+                    assert recursion_stratum_base(spec, alpha) == restrict(
                         tuple_set_class(n, alpha), parts
                     )
 
