@@ -25,16 +25,17 @@ materialized.  Alternating powers need no second series: sigma_t(-x) =
 sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x).
 
 Every route pulls marks back the same way, through one kernel
-(_from_mark_list): the marks at the divisors of L are a zeta transform of
-the orbit counts over the divisor lattice, inverted by a Moebius transform
-one prime of L at a time.  For D divisors and omega distinct primes that
-costs O(D * omega) rather than the O(D^2) of solving divisor by divisor.
+(_from_mark_rows), once per class: the marks at the divisors of L are a
+zeta transform of the orbit counts over the divisor lattice, inverted by a
+Moebius transform one prime of L at a time, on every coefficient at once.
+For D divisors and omega distinct primes that costs O(D * omega) rather
+than the O(D^2) of solving divisor by divisor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import ItemsView, Mapping, Sequence
+from typing import ItemsView, Iterable, Mapping, Sequence
 
 from .combinatorics import _check_nonnegative, _check_positive, _Immutable, divisors
 from .series import invariant_multiset_counts
@@ -59,6 +60,14 @@ class CyclicBurnside(_Immutable):
                 if c != 0:
                     clean[k] = c
         object.__setattr__(self, "_coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, terms: Iterable[tuple[int, int]]) -> "CyclicBurnside":
+        """An element from (orbit size, coefficient) pairs built here from
+        integers the package owns: only zeros are dropped, unlike __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", {k: c for k, c in terms if c})
+        return self
 
     @classmethod
     def orbit(cls, k: int) -> "CyclicBurnside":
@@ -108,12 +117,12 @@ class CyclicBurnside(_Immutable):
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
             out[k] = out.get(k, 0) + c
-        return CyclicBurnside(out)
+        return CyclicBurnside._trusted(out.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclicBurnside":
-        return CyclicBurnside({k: -c for k, c in self._coeffs.items()})
+        return CyclicBurnside._trusted((k, -c) for k, c in self._coeffs.items())
 
     def __sub__(self, other) -> "CyclicBurnside":
         other = self._coerce(other)
@@ -136,7 +145,7 @@ class CyclicBurnside(_Immutable):
             for b, cb in other._coeffs.items():
                 k = math.lcm(a, b)
                 out[k] = out.get(k, 0) + ca * cb * math.gcd(a, b)
-        return CyclicBurnside(out)
+        return CyclicBurnside._trusted(out.items())
 
     __rmul__ = __mul__
 
@@ -147,21 +156,23 @@ class CyclicBurnside(_Immutable):
         return sum(k * c for k, c in self._coeffs.items() if e % k == 0)
 
     @classmethod
-    def _from_mark_list(cls, divs: list[int], values: Sequence[int]) -> "CyclicBurnside":
-        """Recover an element from its marks at the ascending divisors divs
-        of an order L: values[j] is the mark at divs[j].  Callers build
-        divs themselves, so no key is checked; an inconsistent vector shows
-        up as a non-integral division and raises ValueError.
+    def _from_mark_rows(
+        cls, divs: list[int], rows: Sequence[Sequence[int]]
+    ) -> list["CyclicBurnside"]:
+        """Recover elements from their marks at the ascending divisors divs
+        of an order L: rows[j][i] is the mark of element i at divs[j].
+        Callers build divs themselves, so no key is checked; an inconsistent
+        vector shows up as a non-integral division and raises ValueError.
 
         The marks are fix(d) = sum_{k | d} g(k) with g(k) = k a_k, a zeta
         transform over the divisor lattice.  It is inverted one prime p of
-        L at a time, g(d) -= g(d / p) over the divisors in decreasing
-        order.  The primes are the divisors that divide the still
+        L at a time, row by row: g(d) -= g(d / p) over the divisors in
+        decreasing order.  The primes are the divisors that divide the still
         unfactored rest of L, taken in ascending order.  g(d) is then the
         numerator that an inversion by increasing d would meet, so a
         vector with a non-integral a_d is rejected at the same first d.
         """
-        g = list(values)
+        g = list(rows)  # each step builds a new row, so no row is written to
         position = {d: j for j, d in enumerate(divs)}
         rest = divs[-1]
         for p in divs[1:]:
@@ -174,15 +185,13 @@ class CyclicBurnside(_Immutable):
             for j in range(len(divs) - 1, 0, -1):
                 d = divs[j]
                 if d % p == 0:
-                    g[j] -= g[position[d // p]]
-        coeffs: dict[int, int] = {}
-        for d, num in zip(divs, g):
-            a, remainder = divmod(num, d)
-            if remainder:
+                    g[j] = [x - y for x, y in zip(g[j], g[position[d // p]])]
+        quotients = g[:1]  # d = 1 divides every numerator
+        for d, row in zip(divs[1:], g[1:]):
+            if any([num % d for num in row]):
                 raise ValueError(f"mark vector is inconsistent at exponent {d}")
-            if a:
-                coeffs[d] = a
-        return cls(coeffs)
+            quotients.append([num // d for num in row])
+        return [cls._trusted(zip(divs, column)) for column in zip(*quotients)]
 
     def base_change(self, d: int) -> "CyclicBurnside":
         """Restriction to the index-d subgroup:
@@ -193,7 +202,7 @@ class CyclicBurnside(_Immutable):
             g = math.gcd(d, k)
             kk = k // g
             out[kk] = out.get(kk, 0) + c * g
-        return CyclicBurnside(out)
+        return CyclicBurnside._trusted(out.items())
 
     def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
         """Symmetric powers sigma^0..sigma^truncation, from their marks.
@@ -201,11 +210,12 @@ class CyclicBurnside(_Immutable):
         At each divisor d of the lcm of the orbit sizes, the d-th power of
         the generator acts with the cycles of base_change(d), so the marks
         of every sigma^j there are its invariant multiset counts: one
-        counting pass per divisor, then the mark kernel once per j."""
+        counting pass per divisor gives one row of marks, and one call of
+        the mark kernel pulls all the rows back."""
         _check_nonnegative("truncation", truncation)
         divs = divisors(math.lcm(*self._coeffs))
         counts = [invariant_multiset_counts(self.base_change(d)._coeffs, truncation) for d in divs]
-        return [self._from_mark_list(divs, marks) for marks in zip(*counts)]
+        return self._from_mark_rows(divs, counts)
 
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}

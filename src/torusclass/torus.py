@@ -157,7 +157,7 @@ class TorusClass(_Immutable):
                     for ky, cy in y.terms():
                         k = math.lcm(kx, ky)
                         acc[k] = acc.get(k, 0) + cx * cy * math.gcd(kx, ky)
-        return TorusClass(self.n + other.n, [CyclicBurnside(c) for c in out])
+        return TorusClass(self.n + other.n, [CyclicBurnside._trusted(c.items()) for c in out])
 
     def count_points(self, q: int, e: int) -> int:
         """Number of points over the degree-e extension of a q-element
@@ -360,8 +360,8 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     """Universal-coefficient route: a_i is the restriction of the universal
     rho_i along the Frobenius cycle type.  The marks of every rho_i at the
     cycle type of each power of Frobenius come from one dynamic program
-    per distinct type (_rho_marks), and the mark kernel pulls them back
-    over the divisors of lcm(parts).
+    per distinct type (_rho_marks) are one row per divisor of lcm(parts),
+    and one call of the mark kernel pulls every coefficient back.
 
     Its domain is a cost estimate of those programs, taken from the power
     types before any of them runs: n len(t)^2 / 2 summed over the distinct
@@ -372,8 +372,7 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     cost = sum(n * len(t) ** 2 for t in set(types)) // 2
     if cost > RHO_COST_BOUND:
         raise OutsideDomain(f"mark DP estimate {cost:,} > {RHO_COST_BOUND:,}")
-    marks = [_rho_marks(t) for t in types]
-    coeffs = [CyclicBurnside._from_mark_list(divs, [m[i] for m in marks]) for i in range(n)]
+    coeffs = CyclicBurnside._from_mark_rows(divs, [_rho_marks(t) for t in types])
     return TorusClass(n, [CyclicBurnside.ONE, *coeffs])
 
 
@@ -420,20 +419,22 @@ def _stratum_types(t: int, a: int) -> list[list[tuple[int, int, int, int]]]:
     components are their sigma-orbits.  For d dividing t, sigma^d has a d
     cycles of length t / d and fixes a subset exactly when it is a union
     of them, so the fixed s-subsets number C(a d, s d / t), or 0 when t
-    does not divide s d.  From these marks, the mark kernel
-    CyclicBurnside._from_mark_list gives the number of orbits of each
-    length m.  An orbit of length m gives a component whose new return map
-    sigma^m has a' = (r - s) m / t cycles of length t' = t / m on the
-    complement.  No subset is enumerated.
+    does not divide s d.  From these marks, one row per d over every s,
+    one call of the mark kernel CyclicBurnside._from_mark_rows gives the
+    number of orbits of each length m in every stratum.  An orbit of
+    length m gives a component whose new return map sigma^m has
+    a' = (r - s) m / t cycles of length t' = t / m on the complement.  No
+    subset is enumerated.
     """
     r = a * t
     divs = divisors(t)
-    strata = []
-    for s in range(r + 1):
-        marks = [0 if s * d % t else math.comb(a * d, s * d // t) for d in divs]
-        orbits = CyclicBurnside._from_mark_list(divs, marks).terms()
-        strata.append([(m, t // m, (r - s) * m // t, count) for m, count in orbits])
-    return strata
+    rows = [
+        [0 if s * d % t else math.comb(a * d, s * d // t) for s in range(r + 1)] for d in divs
+    ]
+    return [
+        [(m, t // m, (r - s) * m // t, count) for m, count in orbits.terms()]
+        for s, orbits in enumerate(CyclicBurnside._from_mark_rows(divs, rows))
+    ]
 
 
 @cache
@@ -461,7 +462,7 @@ def _units_of_type(t: int, a: int) -> TorusClass:
                 acc = poly[j]
                 for k, v in c.terms():
                     acc[m * k] = acc.get(m * k, 0) - count * v
-    return TorusClass(r, [CyclicBurnside(p) for p in poly])
+    return TorusClass(r, [CyclicBurnside._trusted(p.items()) for p in poly])
 
 
 def class_via_recursion(spec: AlgebraSpec) -> TorusClass:

@@ -1,12 +1,18 @@
 """Procyclic Burnside maps that no route uses, kept to check the ring with:
-the keyed mark inversion, induction and the lambda series."""
+the single-column and keyed mark inversions, induction and the lambda
+series."""
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from torusclass.combinatorics import _check_positive, divisors
 from torusclass.cyclic import CyclicBurnside
+
+
+def from_mark_list(divs: list[int], values: Sequence[int]) -> CyclicBurnside:
+    """The element with mark values[j] at divs[j]: the mark kernel on one column."""
+    return CyclicBurnside._from_mark_rows(divs, [[v] for v in values])[0]
 
 
 def from_marks(fix: Mapping[int, int]) -> CyclicBurnside:
@@ -18,7 +24,7 @@ def from_marks(fix: Mapping[int, int]) -> CyclicBurnside:
     divs = divisors(order)
     if set(fix) != set(divs):
         raise ValueError(f"marks must be keyed by the divisors of {order}, not {sorted(fix)}")
-    return CyclicBurnside._from_mark_list(divs, [fix[d] for d in divs])
+    return from_mark_list(divs, [fix[d] for d in divs])
 
 
 def induce(x: CyclicBurnside, d: int) -> CyclicBurnside:

@@ -14,6 +14,8 @@ from torusclass.combinatorics import _check_positive, divisors, power_cycle_type
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import MarkMatrix, SchurElement, _check_partition
 
+from .cyclic import from_mark_list
+
 
 class Ring(SchurElement):
     __slots__ = ()
@@ -104,4 +106,4 @@ def restrict(x: SchurElement, lam) -> CyclicBurnside:
     divs = divisors(math.lcm(*lam))
     types = [power_cycle_type(lam, d) for d in divs]
     marks = {t: x._mark(t) for t in dict.fromkeys(types)}
-    return CyclicBurnside._from_mark_list(divs, [marks[t] for t in types])
+    return from_mark_list(divs, [marks[t] for t in types])

@@ -383,6 +383,38 @@ def test_verify_prints_a_grid_just_inside_the_limit(capsys, monkeypatch):
     assert "q=5 e=62" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--partition", "1", "--qmax", "1000000000000", "--emax", "1"],
+        ["--partition", "2", "--qmax", str(cli.GRID_BOUND + 2)],
+        ["--partition", "2", "--qmax", "2", "--emax", str(cli.GRID_BOUND + 1)],
+    ],
+)
+def test_verify_refuses_a_grid_past_the_bound(capsys, argv):
+    # refused from qmax and emax alone: no prime power is sought, no route
+    # runs and no line of the grid is printed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --qmax ") and "--emax " in err
+    assert f"more than {cli.GRID_BOUND:,}" in err
+
+
+def test_verify_prints_a_grid_at_the_bound(capsys, monkeypatch):
+    # the default grid, q = 2..5 and e = 1..3, has 4 * 3 = 12 points
+    monkeypatch.setattr(cli, "GRID_BOUND", 12)
+    code, out, _ = _run(capsys, ["verify", "--partition", "2"])
+    assert code == 0 and out.endswith("q=5 e=3 count=15624 oracle=15624 ok\nPASS\n")
+    monkeypatch.setattr(cli, "GRID_BOUND", 11)
+    code, out, err = _run(capsys, ["verify", "--partition", "2"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --qmax 5 --emax 3: the grid has (qmax - 1) * emax = 12 points, more than 11\n"
+    )
+
+
 SHIPPED = {
     "AlgebraSpec",
     "CyclicBurnside",

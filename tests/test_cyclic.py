@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.counting import lambda_from_sigma, sigma_from_lambda
-from oracles.cyclic import from_marks, induce, lambda_series
+from oracles.cyclic import from_mark_list, from_marks, induce, lambda_series
 from oracles.gsets import (
     FiniteGSet,
     cyclic_decomposition,
@@ -141,7 +141,7 @@ def test_mark_kernel_matches_the_quadratic_inversion(x, multiple):
     order = math.lcm(*x.coeffs) * multiple
     divs = divisors(order)
     fix = _marks_at_divisors(x, order)
-    got = CyclicBurnside._from_mark_list(divs, [fix[d] for d in divs])
+    got = from_mark_list(divs, [fix[d] for d in divs])
     assert got == _from_marks_by_increasing_divisor(fix) == x
 
 
@@ -154,7 +154,7 @@ def test_mark_kernel_rejects_at_the_same_exponent(x, data):
     d = data.draw(st.sampled_from(divs))
     fix[d] += data.draw(st.integers(-5, 5).filter(bool))
     expected = _outcome(_from_marks_by_increasing_divisor, fix)
-    assert _outcome(CyclicBurnside._from_mark_list, divs, [fix[d] for d in divs]) == expected
+    assert _outcome(from_mark_list, divs, [fix[d] for d in divs]) == expected
     assert _outcome(from_marks, fix) == expected
 
 
@@ -168,7 +168,30 @@ def test_inconsistent_marks_name_the_first_bad_exponent():
     with pytest.raises(ValueError, match=r"^mark vector is inconsistent at exponent 12$"):
         from_marks(fix)
     with pytest.raises(ValueError, match=r"^mark vector is inconsistent at exponent 2$"):
-        CyclicBurnside._from_mark_list([1, 2, 3, 6], [0, 1, 0, 1])
+        from_mark_list([1, 2, 3, 6], [0, 1, 0, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_elements, min_size=1, max_size=6), st.integers(1, 2), st.data())
+def test_mark_kernel_inverts_every_column_in_one_call(xs, multiple, data):
+    # one call over k columns is k one-column calls and the quadratic oracle
+    order = math.lcm(*(k for x in xs for k in x.coeffs)) * multiple
+    divs = divisors(order)
+    fixes = [_marks_at_divisors(x, order) for x in xs]
+    rows = [[fix[d] for fix in fixes] for d in divs]
+    got = CyclicBurnside._from_mark_rows(divs, rows)
+    assert got == [from_mark_list(divs, [fix[d] for d in divs]) for fix in fixes]
+    assert got == [_from_marks_by_increasing_divisor(fix) for fix in fixes] == xs
+    # a broken column is rejected at the least exponent any column fails at
+    fixes[data.draw(st.integers(0, len(xs) - 1))][data.draw(st.sampled_from(divs))] += 1
+    rows = [[fix[d] for fix in fixes] for d in divs]
+    outcomes = [_outcome(_from_marks_by_increasing_divisor, fix) for fix in fixes]
+    failures = [f for f in outcomes if isinstance(f, str)]
+    if failures:
+        expected = min(failures, key=lambda f: int(f.rsplit(" ", 1)[1]))
+    else:
+        expected = outcomes
+    assert _outcome(CyclicBurnside._from_mark_rows, divs, rows) == expected
 
 
 def test_induce_examples():

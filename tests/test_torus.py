@@ -174,6 +174,38 @@ def test_product_matches_the_coefficientwise_reference(p1, p2, route):
     assert x * y == _object_product(x, y)
 
 
+def _assert_checked_form(x):
+    # what CyclicBurnside(...) would have built: positive int keys, nonzero
+    # int values, and the equality and hash that rely on a dict without zeros
+    assert all(type(k) is int and k >= 1 and type(c) is int and c for k, c in x.terms())
+    rebuilt = CyclicBurnside(dict(x.terms()))
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 14).flatmap(lambda n: st.sampled_from(partitions(n))),
+    st.integers(0, 6).flatmap(lambda n: st.sampled_from(partitions(n))),
+    st.integers(1, 12),
+)
+def test_values_built_without_checks_are_in_checked_form(parts, other, d):
+    # every route, the norm-one class and the ring operations build their
+    # coefficients through the constructor that only drops zeros
+    spec = AlgebraSpec(parts)
+    classes = [norm_one_class(spec)]
+    for route in ROUTES:
+        try:
+            classes.append(route(spec))
+        except OutsideDomain:
+            pass
+    classes.append(classes[-1] * class_via_lambda(AlgebraSpec(other)))
+    values = [c for tc in classes for c in tc.coeffs]
+    y = spec_class(AlgebraSpec(other)) - 1
+    for x in values:
+        for z in (x, x.base_change(d), -x, x + y, x - y, x - x, x * y, y * x):
+            _assert_checked_form(z)
+
+
 def test_monicity_enforced():
     with pytest.raises(ValueError):
         TorusClass(1, (CyclicBurnside.orbit(2), CyclicBurnside.ONE))
