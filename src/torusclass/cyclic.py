@@ -194,15 +194,16 @@ class CyclicBurnside(_Immutable):
         return [cls._trusted(zip(divs, column)) for column in zip(*quotients)]
 
     def base_change(self, d: int) -> "CyclicBurnside":
-        """Restriction to the index-d subgroup:
-        [k] -> gcd(d, k) [k / gcd(d, k)]."""
+        """Restriction to the index-d subgroup: [k] -> gcd(d, k) [k / gcd(d, k)]."""
         _check_positive("d", d)
+        return CyclicBurnside._trusted(self._cycles(d).items())
+
+    def _cycles(self, d: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for k, c in self._coeffs.items():
             g = math.gcd(d, k)
-            kk = k // g
-            out[kk] = out.get(kk, 0) + c * g
-        return CyclicBurnside._trusted(out.items())
+            out[k // g] = out.get(k // g, 0) + c * g
+        return out
 
     def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
         """Symmetric powers sigma^0..sigma^truncation, from their marks.
@@ -214,7 +215,7 @@ class CyclicBurnside(_Immutable):
         the mark kernel pulls all the rows back."""
         _check_nonnegative("truncation", truncation)
         divs = divisors(math.lcm(*self._coeffs))
-        counts = [invariant_multiset_counts(self.base_change(d)._coeffs, truncation) for d in divs]
+        counts = [invariant_multiset_counts(self._cycles(d), truncation) for d in divs]
         return self._from_mark_rows(divs, counts)
 
     def to_json(self) -> dict[str, int]:

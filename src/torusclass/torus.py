@@ -31,14 +31,13 @@ the reason, before doing any work:
   that program, at most RHO_COST_BOUND;
 * class_via_recursion: a direct stratification of affine n-space over
   the base, peeling off loci by the size of their vanishing set within
-  each fiber, computed on isomorphism types of fibered pieces.  A type is
-  (t, a): a return map with a cycles of length t, the algebra
-  F_{q^t}^a.  Each stratum's component types are counted from the marks
-  of the subsets of one fiber (_stratum_types), and the TorusClass is
-  memoized per type, a piece over a larger base orbit being induced from
-  it.  L is the product of its isotypic blocks, one per distinct degree,
-  and class_via_recursion multiplies their classes once, by
-  TorusClass.__mul__, the one product of polynomials in L.
+  each fiber, on isomorphism types (t, a) of fibered pieces: a return map
+  with a cycles of length t, the algebra F_{q^t}^a.  Each stratum's
+  component types are counted from the marks of the subsets of one fiber
+  (_stratum_types), and each type's class is memoized as its nonzero
+  terms, a piece over a larger base orbit being induced from it.  L is
+  the product of one isotypic block per distinct degree, whose terms
+  _product, the one product of polynomials in L, multiplies.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache, reduce
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .combinatorics import (
@@ -145,19 +144,12 @@ class TorusClass(_Immutable):
         return hash((self.n, self.coeffs))
 
     def __mul__(self, other: "TorusClass") -> "TorusClass":
-        """Product of polynomials in L, accumulated on orbit-size dicts:
-        the orbits multiply as [a] * [b] = gcd(a, b) [lcm(a, b)]."""
+        """Product of polynomials in L, by _product on the flattened terms."""
         if not isinstance(other, TorusClass):
             return NotImplemented
-        out: list[dict[int, int]] = [{} for _ in range(self.n + other.n + 1)]
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                acc = out[i + j]
-                for kx, cx in x.terms():
-                    for ky, cy in y.terms():
-                        k = math.lcm(kx, ky)
-                        acc[k] = acc.get(k, 0) + cx * cy * math.gcd(kx, ky)
-        return TorusClass(self.n + other.n, [CyclicBurnside._trusted(c.items()) for c in out])
+        xs = [(i, k, c) for i, x in enumerate(self.coeffs) for k, c in x.terms()]
+        ys = [(j, k, c) for j, y in enumerate(other.coeffs) for k, c in y.terms()]
+        return _from_terms(self.n + other.n, _product(xs, ys, self.n + other.n))
 
     def count_points(self, q: int, e: int) -> int:
         """Number of points over the degree-e extension of a q-element
@@ -437,8 +429,27 @@ def _stratum_types(t: int, a: int) -> list[list[tuple[int, int, int, int]]]:
     ]
 
 
+def _product(xs, ys, degree: int) -> list[tuple[int, int, int]]:
+    """Product, to index degree, of polynomials in L given by nonzero terms
+    (i, k, c), c [k] at index i: orbits multiply as [a] * [b] = gcd(a, b) [lcm(a, b)]."""
+    out: list[dict[int, int]] = [{} for _ in range(degree + 1)]
+    for i, kx, cx in xs:
+        for j, ky, cy in ys:
+            g = math.gcd(kx, ky)
+            acc, k = out[i + j], kx // g * ky
+            acc[k] = acc.get(k, 0) + cx * cy * g
+    return [(i, k, c) for i, acc in enumerate(out) for k, c in acc.items() if c]
+
+
+def _from_terms(n: int, terms) -> TorusClass:
+    coeffs: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for i, k, c in terms:
+        coeffs[i][k] = c
+    return TorusClass(n, [CyclicBurnside._trusted(c.items()) for c in coeffs])
+
+
 @cache
-def _units_of_type(t: int, a: int) -> TorusClass:
+def _units_of_type(t: int, a: int) -> tuple[tuple[int, int, int], ...]:
     """Class of the unit scheme of a fibered piece over a single point
     whose return map on the fiber has a cycles of length t: the algebra
     F_{q^t}^a, of rank r = a t.  Affine r-space splits into the units, the
@@ -448,32 +459,30 @@ def _units_of_type(t: int, a: int) -> TorusClass:
 
     A stratum component of type (m, t', a') lies over an m-orbit, so it is
     induced from the index-m subgroup, which sends [k] to [m k] in every
-    coefficient of the class of type (t', a'), of rank r - s.
+    coefficient of the class of type (t', a'), of rank r - s.  A class is
+    its nonzero terms (i, k, c), c [k] at L^(r - i), from (0, 1, 1) on.
     """
     r = a * t
     # orbit-size -> multiplicity per coefficient, L^r first
-    poly: list[dict[int, int]] = [{} for _ in range(r + 1)]
-    poly[0][1] = 1
-    poly[r][1] = -1
-    strata = _stratum_types(t, a)
-    for s in range(1, r):
-        for m, t2, a2, count in strata[s]:
-            for j, c in enumerate(_units_of_type(t2, a2).coeffs, s):
-                acc = poly[j]
-                for k, v in c.terms():
-                    acc[m * k] = acc.get(m * k, 0) - count * v
-    return TorusClass(r, [CyclicBurnside._trusted(p.items()) for p in poly])
+    poly: list[dict[int, int]] = [{1: 1}, *({} for _ in range(r - 1)), {1: -1}]
+    for s, entries in enumerate(_stratum_types(t, a)[1:r], 1):
+        for m, t2, a2, count in entries:
+            for i, k, c in _units_of_type(t2, a2):
+                acc = poly[s + i]
+                acc[m * k] = acc.get(m * k, 0) - count * c
+    return tuple((i, k, c) for i, acc in enumerate(poly) for k, c in acc.items() if c)
 
 
 def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     """Stratification route.  Over the point, the return map on the single
     fiber is Frobenius, of cycle type spec.parts, and L is the product of
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
-    of a product are the product of the units, so the class is the product
-    of the blocks' classes; the zero algebra's is the point."""
-    point = TorusClass(0, (CyclicBurnside.ONE,))
-    blocks = (_units_of_type(t, a) for t, a in Counter(spec.parts).items())
-    return reduce(TorusClass.__mul__, blocks, point)
+    of a product are the product of the units: _product multiplies the
+    blocks' terms, and the zero algebra's class is the point."""
+    terms = ()
+    for t, a in Counter(spec.parts).items():
+        terms = _product(terms, _units_of_type(t, a), spec.n) if terms else _units_of_type(t, a)
+    return _from_terms(spec.n, terms or ((0, 1, 1),))
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its

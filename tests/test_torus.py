@@ -32,6 +32,7 @@ from torusclass.torus import (
     TorusClass,
     _rho_marks,
     _stratum_types,
+    _units_of_type,
     char_poly_oracle,
     class_via_lambda,
     class_via_recursion,
@@ -134,18 +135,20 @@ def test_class_is_multiplicative_across_routes(pair, route):
     assert route(AlgebraSpec(p1 + p2)) == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 10).flatmap(lambda n: st.sampled_from(partitions(n))),
-    st.integers(1, 6),
-    st.sampled_from(ROUTES),
-)
-def test_base_change_splits_each_factor(parts, d, route):
-    # over the degree-d extension a field of degree n_j splits into
-    # gcd(n_j, d) fields of degree n_j / gcd(n_j, d)
-    split = [nj // math.gcd(nj, d) for nj in parts for _ in range(math.gcd(nj, d))]
-    got = tuple(c.base_change(d) for c in route(AlgebraSpec(parts)).coeffs)
-    assert got == route(AlgebraSpec(split)).coeffs
+def test_base_change_splits_each_factor():
+    # over the degree-e extension a field of degree n_j splits into
+    # gcd(n_j, e) fields of degree n_j / gcd(n_j, e): every route, on all
+    # 828 pairs of a partition of n <= 10 and e <= 6
+    pairs = 0
+    for route in ROUTES:
+        classes = {p: route(AlgebraSpec(p)).coeffs for n in range(1, 11) for p in partitions(n)}
+        for parts, coeffs in classes.items():
+            for e in range(1, 7):
+                split = [nj // math.gcd(nj, e) for nj in parts for _ in range(math.gcd(nj, e))]
+                got = tuple(c.base_change(e) for c in coeffs)
+                assert got == classes[tuple(sorted(split, reverse=True))], (route, parts, e)
+                pairs += 1
+    assert pairs == 3 * 828
 
 
 def test_squaring_the_quadratic_class():
@@ -163,14 +166,21 @@ def _object_product(x, y):
     return TorusClass(n, out)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 10).flatmap(lambda n: st.sampled_from(partitions(n))),
-    st.integers(0, 10).flatmap(lambda n: st.sampled_from(partitions(n))),
-    st.sampled_from(ROUTES),
+# operands of the product: any route's class with n <= 12, the point and L - 1
+_FACTORS = st.one_of(
+    st.builds(
+        lambda parts, route: route(AlgebraSpec(parts)),
+        st.integers(0, 12).flatmap(lambda n: st.sampled_from(partitions(n))),
+        st.sampled_from(ROUTES),
+    ),
+    st.just(_tc(0, {1: 1})),
+    st.just(_tc(1, {1: 1}, {1: -1})),
 )
-def test_product_matches_the_coefficientwise_reference(p1, p2, route):
-    x, y = route(AlgebraSpec(p1)), route(AlgebraSpec(p2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FACTORS, _FACTORS)
+def test_product_matches_the_coefficientwise_reference(x, y):
     assert x * y == _object_product(x, y)
 
 
@@ -458,6 +468,23 @@ def test_dp_marks_are_the_schur_marks():
                 assert marks[i - 1] == rho._mark(tau)
 
 
+def test_dp_marks_are_the_coefficients_of_the_cycle_product():
+    # the paper's theorem at one mark: mark(rho_i) at a permutation of cycle
+    # type tau is the coefficient of x^i in prod_c (1 - x^c), over its cycles.
+    # This is a test oracle only: rho must never compute its marks this way,
+    # or it stops being independent of the lambda route.
+    checked = 0
+    for n in range(1, 19):
+        for tau in partitions(n):
+            poly = [1] + [0] * n
+            for c in tau:
+                for i in range(n, c - 1, -1):
+                    poly[i] -= poly[i - c]
+            assert _rho_marks(tau) == tuple(poly[1:]), tau
+            checked += 1
+    assert checked == 1596
+
+
 def test_one_restriction_pass_matches_one_call_per_coefficient():
     # the rho route's classes, from the dynamic program's marks, against
     # the Schur path: each coefficient must equal the restriction of the
@@ -655,6 +682,19 @@ def test_isotypic_strata_partition_the_subsets(block):
         assert sum(m * count for m, _, _, count in entries) == math.comb(r, s), (t, a, s)
         for m, t2, a2, count in entries:
             assert t % m == 0 and t2 == t // m and t2 * a2 == r - s and count > 0
+
+
+def test_units_of_type_terms_are_nonzero_and_in_range():
+    # the memo holds each class as its nonzero terms (i, k, c): c [k] in the
+    # coefficient of L^(r - i), orbits of F_{q^t}^a dividing t, monic first
+    for r in range(1, 31):
+        for t, a in _isotypic_types(r):
+            terms = _units_of_type(t, a)
+            assert terms[0] == (0, 1, 1), (t, a)
+            for i, k, c in terms:
+                assert type(c) is int and c != 0, (t, a)
+                assert 0 <= i <= a * t and t % k == 0, (t, a, i, k)
+            assert [i for i, _, _ in terms] == sorted(i for i, _, _ in terms)
 
 
 @cache
