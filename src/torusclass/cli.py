@@ -19,7 +19,10 @@ agree with the first route that answered.
 
 The argparse tree is built once per process, on the first `main` call,
 and reused by every later call; the `--method` choices are the route
-names in torus.ROUTES at that time.
+names in torus.ROUTES at that time.  A call whose first word names a
+command is parsed once, by that command's subparser.  The root parser
+parses only a call with any other first word, or one that leaves
+arguments the subparser does not know, and prints its own help or error.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
@@ -259,13 +262,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
 
 
 def main(argv=None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+        (sub,) = (a for a in _parser._actions if isinstance(a, argparse._SubParsersAction))
+        _commands = sub.choices
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the root parser would hand everything after a command word to that
+    # command's subparser; it parses the call itself only for any other
+    # first word, or to report arguments the subparser does not know
+    command = _commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extras:
+        args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

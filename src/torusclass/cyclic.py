@@ -227,6 +227,10 @@ class CyclicBurnside(_Immutable):
             raise ValueError(f"expected a JSON object of orbit sizes, not {type(obj).__name__}")
         coeffs: dict[int, int] = {}
         for key, c in obj.items():
+            # to_json writes ASCII digits only; int() would also take
+            # "1_0", " 3", "+2" and non-ASCII digits
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise ValueError(f"orbit size key {key!r} is not a decimal number")
             k = int(key)
             if k in coeffs:
                 raise ValueError(f"orbit size {k} appears twice")

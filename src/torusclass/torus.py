@@ -58,7 +58,6 @@ from .combinatorics import (
     _Immutable,
     divisors,
     is_prime_power,
-    power_cycle_type,
 )
 from .cyclic import CyclicBurnside
 
@@ -352,18 +351,27 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     """Universal-coefficient route: a_i is the restriction of the universal
     rho_i along the Frobenius cycle type.  The marks of every rho_i at the
     cycle type of each power of Frobenius come from one dynamic program
-    per distinct type (_rho_marks) are one row per divisor of lcm(parts),
+    per distinct type (_rho_marks), one row per divisor of lcm(parts),
     and one call of the mark kernel pulls every coefficient back.
 
-    Its domain is a cost estimate of those programs, taken from the power
-    types before any of them runs: n len(t)^2 / 2 summed over the distinct
-    types t, at most RHO_COST_BOUND."""
+    Its domain is a cost estimate of those programs, taken before any of
+    them runs: n len(t)^2 / 2 summed over the distinct types t, at most
+    RHO_COST_BOUND.  It reads each type t from its shape, the (length,
+    count) pairs of its cycles, which fixes t without spelling out its
+    len(t) entries, so a declined type is never built."""
     n = spec.n
     divs = divisors(math.lcm(*spec.parts))
-    types = [power_cycle_type(spec.parts, d) for d in divs]
-    cost = sum(n * len(t) ** 2 for t in set(types)) // 2
+    shapes = []
+    for d in divs:
+        counts: dict[int, int] = {}
+        for c in spec.parts:
+            g = math.gcd(c, d)
+            counts[c // g] = counts.get(c // g, 0) + g
+        shapes.append(tuple(sorted(counts.items(), reverse=True)))
+    cost = sum(n * sum(g for _, g in s) ** 2 for s in set(shapes)) // 2
     if cost > RHO_COST_BOUND:
         raise OutsideDomain(f"mark DP estimate {cost:,} > {RHO_COST_BOUND:,}")
+    types = [tuple(length for length, g in s for _ in range(g)) for s in shapes]
     coeffs = CyclicBurnside._from_mark_rows(divs, [_rho_marks(t) for t in types])
     return TorusClass(n, [CyclicBurnside.ONE, *coeffs])
 

@@ -251,6 +251,97 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, root_parses",
+    [
+        (["class", "--partition", "2"], 0),
+        (["verify", "--partition", "1", "--qmax", "2", "--emax", "1"], 0),
+        (["lambda", "--n", "3", "--i", "1"], 0),
+        (["rho", "--n", "3", "--i", "1"], 0),
+        (["marks", "--n", "3"], 0),
+        ([], 1),
+        (["-h"], 1),
+        (["bogus"], 1),
+        (["class", "--partition", "2", "--bogus"], 1),
+    ],
+)
+def test_a_command_is_parsed_by_its_subparser_alone(capsys, monkeypatch, argv, root_parses):
+    if cli._parser is None:
+        main(["marks", "--n", "1"])
+    parses = []
+    parse_args = cli._parser.parse_args
+
+    def counting_parse_args(*args, **kwargs):
+        parses.append(args)
+        return parse_args(*args, **kwargs)
+
+    monkeypatch.setattr(cli._parser, "parse_args", counting_parse_args)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(parses) == root_parses
+
+
+# the root parser is the reference: no arguments, help, an unknown command,
+# "--" before the command, unrecognised options and a stray positional, an
+# abbreviated or "="-joined flag, repeated flags, help after the command,
+# missing values, bad choices and a bad integer
+EDGE_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["bogus", "--partition", "2"],
+    ["--", "class", "--partition", "2"],
+    ["--bogus", "class", "--partition", "2"],
+    ["-h", "class"],
+    ["class", "--partition", "2", "--bogus"],
+    ["class", "--partition", "2", "stray"],
+    ["class", "--part", "3,2"],
+    ["class", "--partition=3,2"],
+    ["class", "--partition", "2", "--partition", "3,2"],
+    ["class", "--partition", "2", "--method", "rho", "--method", "recursion"],
+    ["class", "--m", "rho", "--partition", "2", "--format", "latex"],
+    ["class", "-h"],
+    ["class", "--partition", "2", "-h"],
+    ["class", "--partition"],
+    ["class"],
+    ["class", "--partition", "2", "--method", "bogus"],
+    ["class", "--partition", "2", "--", "x"],
+    ["class", "--", "--partition", "2"],
+    ["class", "--partition", "x"],
+    ["verify", "--partition", "2", "--qmax", "x"],
+    ["rho", "--n", "3", "--i", "1", "extra"],
+    ["marks", "--n", "3", "--bogus=1"],
+    ["lambda", "--n", "3", "--i", "1", "--format", "json"],
+]
+
+
+def _through_the_root(argv) -> int:
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV)
+def test_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
+    # argparse wraps usage and help to the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for run in (main, _through_the_root):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 # every method and format, each command, a usage error, an error exit,
 # then the defaults again: nothing may leak from one call into the next
 REPEATED = [

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +397,13 @@ def test_from_json_refuses_a_repeated_orbit_size():
     with pytest.raises(ValueError, match="orbit size 1 appears twice"):
         CyclicBurnside.from_json({"1": 1, "01": 2})
     assert CyclicBurnside.from_json({"01": 2, "2": -1}) == CyclicBurnside({1: 2, 2: -1})
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3", "+2", "٣"])
+def test_from_json_reads_only_decimal_keys(key):
+    # int() reads all four, the last an Arabic-Indic digit three
+    with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not a decimal number")):
+        CyclicBurnside.from_json({key: 1})
 
 
 def test_invalid_coefficients_rejected():

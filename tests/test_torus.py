@@ -526,6 +526,19 @@ def test_rho_answers_and_agrees_or_declines_fast(parts):
     assert tc == class_via_lambda(spec) == class_via_recursion(spec)
 
 
+def test_rho_declines_a_huge_field_without_building_its_power_types():
+    # the d-th power of a (10^20 - 1)-cycle is d cycles of length n / d, one
+    # distinct type per divisor d, so the estimate is n * sum(d^2) / 2; a
+    # type spelt out would have up to 10^20 entries
+    n = 10**20 - 1
+    estimate = n * sum(d * d for d in divisors(n)) // 2
+    start = time.perf_counter()
+    with pytest.raises(OutsideDomain) as excinfo:
+        class_via_universal(AlgebraSpec((n,)))
+    assert time.perf_counter() - start < 1
+    assert str(excinfo.value) == f"mark DP estimate {estimate:,} > 10,000,000"
+
+
 def test_recursion_route_at_large_n():
     # beyond the reach of a walk over the subsets of a fiber
     for parts in [
