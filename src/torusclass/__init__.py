@@ -5,7 +5,7 @@ Lefschetz class with zero-dimensional coefficients, by three independent
 algorithms, and cross-checked by point counting over extensions.
 """
 
-from .combinatorics import Partition, partitions, power_cycle_type
+from .combinatorics import Partition, partitions
 from .cyclic import CyclicBurnside
 from .schur import (
     MarkMatrix,
@@ -44,7 +44,6 @@ __all__ = [
     "norm_one_class",
     "partitions",
     "point_count_oracle",
-    "power_cycle_type",
     "spec_class",
     "torus_coefficient",
 ]

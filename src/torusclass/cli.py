@@ -17,12 +17,17 @@ single-route `class` call outside it is a usage error.  With every route
 with the route's own reason, and at least two routes must answer and
 agree with the first route that answered.
 
-The argparse tree is built once per process, on the first `main` call,
-and reused by every later call; the `--method` choices are the route
-names in torus.ROUTES at that time.  A call whose first word names a
-command is parsed once, by that command's subparser.  The root parser
-parses only a call with any other first word, or one that leaves
-arguments the subparser does not know, and prints its own help or error.
+Each command's flags are declared once, in COMMANDS.  `main` reads a call
+of exactly the form `<command> (--flag value)*` off that table, without
+argparse: each flag named in full and at most once, no value starting
+with "-", each value of its flag's type and among its choices, and every
+required flag given.  Any other call (help, "--", an abbreviated or
+"="-joined flag, a repeat, a bad value, an unknown word) goes to the
+argparse tree that build_parser() makes from the same table, which prints
+its own help or usage error.  That tree is built at most once per process,
+on the first call that needs it; argparse is not imported before then.
+The `--method` choices are the route names in torus.ROUTES, read when a
+call is read or the tree is built.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
@@ -30,14 +35,18 @@ errors (bad flags, unparsable partitions, bounds exceeded).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .combinatorics import is_prime_power
 from .schur import lambda_standard, mark_matrix, torus_coefficient
 from .torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, point_count_oracle
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _render_class(tc: TorusClass, fmt: str) -> str:
@@ -222,63 +231,104 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _methods() -> list[str]:
+    return [*ROUTES, "all"]
+
+
+# Each command's function, help line and flags, declared once: main() reads
+# a well-formed call off this table and build_parser() builds argparse from
+# it.  A flag is (name, type, choices, default, help); a default of REQUIRED
+# makes the flag required, and choices given as a function are read anew
+# each time they are needed.
+REQUIRED = object()
+_N = ("n", int, None, REQUIRED, None)
+_FORMAT = ("format", str, ("text", "json"), "text", None)
+_N_I_FORMAT = (_N, ("i", int, None, REQUIRED, None), _FORMAT)
+COMMANDS = {
+    "class": (cmd_class, "compute the unit-torus class", (
+        ("partition", str, None, REQUIRED, "factor degrees, e.g. 2,2"),
+        ("method", str, _methods, "lambda", None),
+        ("format", str, ("text", "json", "latex"), "text", None),
+    )),
+    "lambda": (cmd_lambda, "alternating power of the standard set", _N_I_FORMAT),
+    "rho": (cmd_rho, "universal coefficient on the partition basis", _N_I_FORMAT),
+    "marks": (cmd_marks, "fixed-point matrix of the tuple sets", (_N, _FORMAT)),
+    "verify": (cmd_verify, "cross-check methods and point counts", (
+        ("partition", str, None, REQUIRED, None),
+        ("qmax", int, None, 5, None),
+        ("emax", int, None, 3, None),
+    )),
+}
+
+
+def _choices(choices):
+    return choices() if callable(choices) else choices
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="torusclass",
         description="Unit-torus classes of separable algebras over finite fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_class = sub.add_parser("class", help="compute the unit-torus class")
-    p_class.add_argument("--partition", required=True, help="factor degrees, e.g. 2,2")
-    p_class.add_argument("--method", choices=[*ROUTES, "all"], default="lambda")
-    p_class.add_argument("--format", choices=["text", "json", "latex"], default="text")
-    p_class.set_defaults(func=cmd_class)
-
-    p_lambda = sub.add_parser("lambda", help="alternating power of the standard set")
-    p_lambda.add_argument("--n", type=int, required=True)
-    p_lambda.add_argument("--i", type=int, required=True)
-    p_lambda.add_argument("--format", choices=["text", "json"], default="text")
-    p_lambda.set_defaults(func=cmd_lambda)
-
-    p_rho = sub.add_parser("rho", help="universal coefficient on the partition basis")
-    p_rho.add_argument("--n", type=int, required=True)
-    p_rho.add_argument("--i", type=int, required=True)
-    p_rho.add_argument("--format", choices=["text", "json"], default="text")
-    p_rho.set_defaults(func=cmd_rho)
-
-    p_marks = sub.add_parser("marks", help="fixed-point matrix of the tuple sets")
-    p_marks.add_argument("--n", type=int, required=True)
-    p_marks.add_argument("--format", choices=["text", "json"], default="text")
-    p_marks.set_defaults(func=cmd_marks)
-
-    p_verify = sub.add_parser("verify", help="cross-check methods and point counts")
-    p_verify.add_argument("--partition", required=True)
-    p_verify.add_argument("--qmax", type=int, default=5)
-    p_verify.add_argument("--emax", type=int, default=3)
-    p_verify.set_defaults(func=cmd_verify)
-
+    for command, (func, help_, flags) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_)
+        for name, type_, choices, default, flag_help in flags:
+            required = default is REQUIRED
+            p_command.add_argument(
+                f"--{name}", type=type_, choices=_choices(choices), required=required,
+                default=None if required else default, help=flag_help,
+            )
+        p_command.set_defaults(func=func)
     return parser
 
 
+def _read_call(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse would set for a call of exactly the form
+    `<command> (--flag value)*`: each flag named in full and at most once,
+    no value starting with "-", every value of its type and among its
+    choices, every required flag given.  None for any other call."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    # a last word with no value, or a flag given twice, leaves fewer pairs
+    if len(given) != len(argv) // 2:
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for name, type_, choices, default, _ in flags:
+        text = given.pop(f"--{name}", None)
+        if text is None:
+            if default is REQUIRED:
+                return None
+            value = default
+        else:
+            if text.startswith("-"):
+                return None
+            try:
+                value = type_(text)
+            except ValueError:
+                return None
+            if choices is not None and value not in _choices(choices):
+                return None
+        setattr(args, name, value)
+    # a word left over is not a flag of this command
+    return None if given else args
+
+
 _parser: argparse.ArgumentParser | None = None
-_commands: dict[str, argparse.ArgumentParser] = {}
 
 
 def main(argv=None) -> int:
-    global _parser, _commands
-    if _parser is None:
-        _parser = build_parser()
-        (sub,) = (a for a in _parser._actions if isinstance(a, argparse._SubParsersAction))
-        _commands = sub.choices
+    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the root parser would hand everything after a command word to that
-    # command's subparser; it parses the call itself only for any other
-    # first word, or to report arguments the subparser does not know
-    command = _commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if command is None or extras:
+    args = _read_call(argv)
+    if args is None:
+        # help, usage errors and every other form argparse accepts
+        if _parser is None:
+            _parser = build_parser()
         args = _parser.parse_args(argv)
     try:
         return args.func(args)

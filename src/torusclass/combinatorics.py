@@ -1,5 +1,5 @@
-"""Partitions, cycle-type powers, divisors and prime powers, and the
-checks and immutable base that the value classes share.
+"""Partitions, divisors and prime powers, and the checks and immutable
+base that the value classes share.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -7,7 +7,6 @@ indexing, JSON output, and cache keys are reproducible across runs.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 
 Partition = tuple[int, ...]
@@ -67,22 +66,6 @@ def _partitions(n: int, max_part: int) -> tuple[Partition, ...]:
         for rest in _partitions(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def power_cycle_type(lam: Partition, e: int) -> Partition:
-    """Cycle type of the e-th power of a permutation of cycle type lam.
-
-    A cycle of length c falls apart into gcd(c, e) cycles of length
-    c / gcd(c, e).
-    """
-    _check_positive("e", e)
-    for c in lam:
-        _check_positive("part", c)
-    out: list[int] = []
-    for c in lam:
-        g = math.gcd(c, e)
-        out.extend([c // g] * g)
-    return tuple(sorted(out, reverse=True))
 
 
 def divisors(n: int) -> list[int]:

@@ -99,11 +99,12 @@ class AlgebraSpec(_Immutable):
     @classmethod
     def parse(cls, text: str) -> "AlgebraSpec":
         """Parse a comma-separated degree list such as "2,2" or "3"."""
-        try:
-            parts = tuple(int(piece) for piece in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse partition {text!r}") from None
-        return cls(parts)
+        pieces = text.split(",")
+        # ASCII decimal digits only: int() would also read "1_0", "+3", " 3"
+        # and other scripts' digits
+        if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+            raise ValueError(f"cannot parse partition {text!r}")
+        return cls(tuple(map(int, pieces)))
 
     def __str__(self) -> str:
         return ",".join(map(str, self.parts))
@@ -495,7 +496,8 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its
 # TorusClass, or raises OutsideDomain before doing any work.  The CLI
-# reads the names once, when its first main() call builds the parser.
+# reads the names as `--method` choices on each call it reads itself, and
+# once more if it builds its argparse tree.
 ROUTES = {
     "lambda": class_via_lambda,
     "rho": class_via_universal,

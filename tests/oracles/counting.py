@@ -1,7 +1,9 @@
 """Counting helpers the tests check the routes with.
 
 Compositions and multinomial counts enumerate the tuple-set bases; the
-recursions between sigma and lambda check the lambda route's series.
+recursions between sigma and lambda check the lambda route's series;
+the cycle types of permutation powers give the restriction to the cyclic
+ring.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 from functools import cache
 from typing import Sequence
+
+from torusclass.combinatorics import Partition, _check_positive
 
 Composition = tuple[int, ...]
 
@@ -96,3 +100,18 @@ def sigma_from_lambda(lams: Sequence) -> list:
         sigs.append(acc)
     return sigs
 
+
+def power_cycle_type(lam: Partition, e: int) -> Partition:
+    """Cycle type of the e-th power of a permutation of cycle type lam.
+
+    A cycle of length c falls apart into gcd(c, e) cycles of length
+    c / gcd(c, e).
+    """
+    _check_positive("e", e)
+    for c in lam:
+        _check_positive("part", c)
+    out: list[int] = []
+    for c in lam:
+        g = math.gcd(c, e)
+        out.extend([c // g] * g)
+    return tuple(sorted(out, reverse=True))

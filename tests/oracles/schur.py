@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from torusclass.combinatorics import _check_positive, divisors, power_cycle_type
+from torusclass.combinatorics import _check_positive, divisors
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import MarkMatrix, SchurElement, _check_partition
 
+from .counting import power_cycle_type
 from .cyclic import from_mark_list
 
 

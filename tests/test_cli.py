@@ -1,16 +1,21 @@
 """Command-line surface: formats, determinism, exit codes, public names."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusclass
 from torusclass import cli
@@ -229,7 +234,15 @@ def test_a_route_fault_is_not_a_skip(capsys, monkeypatch):
     assert err == "error: route fault\n"
 
 
-def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+# the root parser and its five subcommands: the whole argparse tree
+PARSER_TREE = ["torusclass"] + [
+    f"torusclass {command}" for command in ("class", "lambda", "rho", "marks", "verify")
+]
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The prog of each ArgumentParser built from here on; no parser is kept."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -239,20 +252,24 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_the_parser_is_built_once_per_process(capsys, parser_builds):
     calls = (["class", "--partition", "2"], ["marks", "--n", "3"], ["rho", "--n", "3", "--i", "1"])
     for argv in calls:
         assert main(argv) == 0
-    with pytest.raises(SystemExit):
-        main(["class"])
+    assert parser_builds == []
+    for argv in (["class"], ["marks"]):
+        with pytest.raises(SystemExit):
+            main(argv)
     capsys.readouterr()
-    # the root parser and its five subcommands, once for all four calls
-    assert built == ["torusclass"] + [
-        f"torusclass {command}" for command in ("class", "lambda", "rho", "marks", "verify")
-    ]
+    # the root parser and its five subcommands, once for both usage errors
+    assert parser_builds == PARSER_TREE
 
 
 @pytest.mark.parametrize(
-    "argv, root_parses",
+    "argv, root_builds",
     [
         (["class", "--partition", "2"], 0),
         (["verify", "--partition", "1", "--qmax", "2", "--emax", "1"], 0),
@@ -265,29 +282,22 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
         (["class", "--partition", "2", "--bogus"], 1),
     ],
 )
-def test_a_command_is_parsed_by_its_subparser_alone(capsys, monkeypatch, argv, root_parses):
-    if cli._parser is None:
-        main(["marks", "--n", "1"])
-    parses = []
-    parse_args = cli._parser.parse_args
-
-    def counting_parse_args(*args, **kwargs):
-        parses.append(args)
-        return parse_args(*args, **kwargs)
-
-    monkeypatch.setattr(cli._parser, "parse_args", counting_parse_args)
+def test_only_a_call_argparse_must_read_builds_the_parser(capsys, parser_builds, argv, root_builds):
+    # a well-formed call is read off the flag table; help and usage errors
+    # build the root parser, once
     try:
         main(argv)
     except SystemExit:
         pass
     capsys.readouterr()
-    assert len(parses) == root_parses
+    assert parser_builds == PARSER_TREE * root_builds
 
 
 # the root parser is the reference: no arguments, help, an unknown command,
 # "--" before the command, unrecognised options and a stray positional, an
 # abbreviated or "="-joined flag, repeated flags, help after the command,
-# missing values, bad choices and a bad integer
+# missing values, bad choices and a bad integer, a bad value given before a
+# good one and a value that looks like a flag
 EDGE_ARGV = [
     [],
     ["-h"],
@@ -316,6 +326,8 @@ EDGE_ARGV = [
     ["rho", "--n", "3", "--i", "1", "extra"],
     ["marks", "--n", "3", "--bogus=1"],
     ["lambda", "--n", "3", "--i", "1", "--format", "json"],
+    ["lambda", "--n", "x", "--n", "3", "--i", "1"],
+    ["class", "--partition", "-h"],
 ]
 
 
@@ -340,6 +352,150 @@ def test_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
             code = exc.code
         outcomes.append((code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
+
+
+# `--help` of the root parser and of each command at COLUMNS=80, byte for
+# byte: the parser is built from the same table that main() reads a call
+# off, so the differential tests alone would not see a changed help text
+HELP = {
+    (): (
+        "usage: torusclass [-h] {class,lambda,rho,marks,verify} ...\n"
+        "\n"
+        "Unit-torus classes of separable algebras over finite fields.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {class,lambda,rho,marks,verify}\n"
+        "    class               compute the unit-torus class\n"
+        "    lambda              alternating power of the standard set\n"
+        "    rho                 universal coefficient on the partition basis\n"
+        "    marks               fixed-point matrix of the tuple sets\n"
+        "    verify              cross-check methods and point counts\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    ("class",): (
+        "usage: torusclass class [-h] --partition PARTITION\n"
+        "                        [--method {lambda,rho,recursion,all}]\n"
+        "                        [--format {text,json,latex}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --partition PARTITION\n"
+        "                        factor degrees, e.g. 2,2\n"
+        "  --method {lambda,rho,recursion,all}\n"
+        "  --format {text,json,latex}\n"
+    ),
+    ("lambda",): (
+        "usage: torusclass lambda [-h] --n N --i I [--format {text,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N\n"
+        "  --i I\n"
+        "  --format {text,json}\n"
+    ),
+    ("rho",): (
+        "usage: torusclass rho [-h] --n N --i I [--format {text,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N\n"
+        "  --i I\n"
+        "  --format {text,json}\n"
+    ),
+    ("marks",): (
+        "usage: torusclass marks [-h] --n N [--format {text,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N\n"
+        "  --format {text,json}\n"
+    ),
+    ("verify",): (
+        "usage: torusclass verify [-h] --partition PARTITION [--qmax QMAX]\n"
+        "                         [--emax EMAX]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --partition PARTITION\n"
+        "  --qmax QMAX\n"
+        "  --emax EMAX\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda command: " ".join(command) or "root")
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
+
+
+# each command's flags, spelled out here rather than read off cli.COMMANDS;
+# the first REQUIRED_FLAGS[command] flags of a command are required
+COMMAND_FLAGS = {
+    "class": ["--partition", "--method", "--format"],
+    "lambda": ["--n", "--i", "--format"],
+    "rho": ["--n", "--i", "--format"],
+    "marks": ["--n", "--format"],
+    "verify": ["--partition", "--qmax", "--emax"],
+}
+REQUIRED_FLAGS = {"class": 1, "lambda": 2, "rho": 2, "marks": 1, "verify": 1}
+# small values each flag takes in a well-formed call
+GOOD = {
+    "--partition": ["3,2", "2", "1"],
+    "--method": [*ROUTES, "all"],
+    "--format": ["text", "json", "latex"],
+    "--n": ["2", "1"],
+    "--i": ["2", "1", "0"],
+    "--qmax": ["2", "3"],
+    "--emax": ["1", "2"],
+}
+VALUES = ["-1", "", "x", "3,2", "2", "1", *ROUTES, "all", "text", "json", "latex"]
+TOKENS = [*COMMAND_FLAGS, *GOOD, "--par", "--partition=3,2", "--", "-h", *VALUES]
+
+
+@st.composite
+def _calls(draw):
+    """A well-formed call, its flags in any order, then changed in up to two
+    places: a token replaced by any other, or one put in."""
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    given = [
+        flag for flag in draw(st.permutations(flags))
+        if flags.index(flag) < REQUIRED_FLAGS[command] or draw(st.booleans())
+    ]
+    argv = [command, *(token for flag in given for token in (flag, draw(st.sampled_from(GOOD[flag]))))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(argv)))
+        token = draw(st.sampled_from(TOKENS))
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = token
+        else:
+            argv.insert(at, token)
+    return argv
+
+
+def _outcome(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(TOKENS), max_size=7), _calls()))
+def test_main_matches_the_root_parser_on_drawn_argv(argv):
+    # EDGE_ARGV generalised: whichever path main takes, the exit code and
+    # every byte printed are those of argparse parsing the whole call
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _outcome(main, argv) == _outcome(_through_the_root, argv)
 
 
 # every method and format, each command, a usage error, an error exit,
@@ -400,6 +556,14 @@ def test_unparsable_partition_exits_2(capsys):
     code, _, err = _run(capsys, ["class", "--partition", "x"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "\u0663,2"])
+def test_a_partition_is_read_in_ascii_decimal_digits_only(capsys, text):
+    # int() would read these as (10,), (3,), (3,) and (3, 2)
+    assert _run(capsys, ["class", "--partition", text]) == (
+        2, "", f"error: cannot parse partition {text!r}\n"
+    )
 
 
 def test_bound_violation_exits_2(capsys):
@@ -522,7 +686,6 @@ SHIPPED = {
     "norm_one_class",
     "partitions",
     "point_count_oracle",
-    "power_cycle_type",
     "spec_class",
     "torus_coefficient",
 }
@@ -531,7 +694,7 @@ SHIPPED = {
 def test_package_ships_only_the_routes():
     # the routes, their rings and oracles, and the CLI; the brute-force
     # g-set engine and the test-only helpers live under tests/oracles
-    assert len(torusclass.__all__) == len(SHIPPED) == 18
+    assert len(torusclass.__all__) == len(SHIPPED) == 17
     assert set(torusclass.__all__) == SHIPPED
     for name in torusclass.__all__:
         assert getattr(torusclass, name) is not None, name
@@ -552,17 +715,21 @@ def test_package_ships_only_the_routes():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # importing the package and its CLI stays cheap: neither module (nor
-    # the ast, dis and tokenize that inspect pulls in) is loaded on the way
+    # the ast, dis and tokenize that inspect pulls in) is loaded on the way,
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(torusclass.__file__)))
+    # and a well-formed call, read off the flag table, loads neither
+    # argparse nor the gettext it imports
     probe = (
         "import sys; before = set(sys.modules); import torusclass, torusclass.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))); "
+        "torusclass.cli.main(['class', '--partition', '1']); "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "L - 1", "[]"]
     spec = AlgebraSpec((1, 2))
     assert spec == AlgebraSpec([2, 1]) and hash(spec) == hash(AlgebraSpec((2, 1)))
     assert spec != (2, 1) and repr(spec) == "AlgebraSpec(parts=(2, 1))"

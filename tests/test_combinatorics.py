@@ -2,9 +2,9 @@
 
 import pytest
 
-from oracles.counting import compositions, multinomial
+from oracles.counting import compositions, multinomial, power_cycle_type
 from oracles.gsets import cycle_type, perm_of_cycle_type
-from torusclass.combinatorics import divisors, is_prime_power, partitions, power_cycle_type
+from torusclass.combinatorics import divisors, is_prime_power, partitions
 
 
 def _compositions_by_breakpoints(total):

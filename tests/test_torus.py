@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.counting import compositions
+from oracles.counting import compositions, power_cycle_type
 from oracles.cyclic import from_marks, induce
 from oracles.gsets import (
     FiniteGSet,
@@ -23,7 +23,7 @@ from oracles.gsets import (
     subset_walk_stratum_types,
 )
 from oracles.schur import restrict, tuple_set_class
-from torusclass.combinatorics import divisors, partitions, power_cycle_type
+from torusclass.combinatorics import divisors, partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import mark_matrix, torus_coefficient
 from torusclass.torus import (
