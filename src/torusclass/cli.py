@@ -26,8 +26,9 @@ required flag given.  Any other call (help, "--", an abbreviated or
 argparse tree that build_parser() makes from the same table, which prints
 its own help or usage error.  That tree is built at most once per process,
 on the first call that needs it; argparse is not imported before then.
-The `--method` choices are the route names in torus.ROUTES, read when a
-call is read or the tree is built.
+The `--method` choices are the route names in torus.ROUTES and "all".
+An int flag takes ASCII decimal digits after an optional "-", and nothing
+else that int() would read.
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage
 errors (bad flags, unparsable partitions, bounds exceeded).
@@ -231,23 +232,31 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _methods() -> list[str]:
-    return [*ROUTES, "all"]
+def _int(text: str) -> int:
+    """An int flag's value: ASCII decimal digits after an optional "-".
+    int() would also read "1_0", "+3", " 3" and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's error names the type: "invalid int value: '1_0'"
 
 
 # Each command's function, help line and flags, declared once: main() reads
 # a well-formed call off this table and build_parser() builds argparse from
 # it.  A flag is (name, type, choices, default, help); a default of REQUIRED
-# makes the flag required, and choices given as a function are read anew
-# each time they are needed.
+# makes the flag required.  The `--method` choices are the routes of
+# torus.ROUTES, and "all".
 REQUIRED = object()
-_N = ("n", int, None, REQUIRED, None)
+_N = ("n", _int, None, REQUIRED, None)
 _FORMAT = ("format", str, ("text", "json"), "text", None)
-_N_I_FORMAT = (_N, ("i", int, None, REQUIRED, None), _FORMAT)
+_N_I_FORMAT = (_N, ("i", _int, None, REQUIRED, None), _FORMAT)
 COMMANDS = {
     "class": (cmd_class, "compute the unit-torus class", (
         ("partition", str, None, REQUIRED, "factor degrees, e.g. 2,2"),
-        ("method", str, _methods, "lambda", None),
+        ("method", str, (*ROUTES, "all"), "lambda", None),
         ("format", str, ("text", "json", "latex"), "text", None),
     )),
     "lambda": (cmd_lambda, "alternating power of the standard set", _N_I_FORMAT),
@@ -255,14 +264,10 @@ COMMANDS = {
     "marks": (cmd_marks, "fixed-point matrix of the tuple sets", (_N, _FORMAT)),
     "verify": (cmd_verify, "cross-check methods and point counts", (
         ("partition", str, None, REQUIRED, None),
-        ("qmax", int, None, 5, None),
-        ("emax", int, None, 3, None),
+        ("qmax", _int, None, 5, None),
+        ("emax", _int, None, 3, None),
     )),
 }
-
-
-def _choices(choices):
-    return choices() if callable(choices) else choices
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, type_, choices, default, flag_help in flags:
             required = default is REQUIRED
             p_command.add_argument(
-                f"--{name}", type=type_, choices=_choices(choices), required=required,
+                f"--{name}", type=type_, choices=choices, required=required,
                 default=None if required else default, help=flag_help,
             )
         p_command.set_defaults(func=func)
@@ -311,7 +316,7 @@ def _read_call(argv: list[str]) -> SimpleNamespace | None:
                 value = type_(text)
             except ValueError:
                 return None
-            if choices is not None and value not in _choices(choices):
+            if choices is not None and value not in choices:
                 return None
         setattr(args, name, value)
     # a word left over is not a flag of this command

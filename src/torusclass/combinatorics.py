@@ -1,5 +1,5 @@
-"""Partitions, divisors and prime powers, and the checks and immutable
-base that the value classes share.
+"""Partitions, divisors and prime powers, the signed-sum printer, and the
+checks and immutable base that the value classes share.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -68,30 +68,44 @@ def _partitions(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n, ascending.
-
-    Found by trial-division factoring, which stops once the unfactored
-    rest is 1 or a prime, so the cost is bounded by the second largest
-    prime factor of n rather than by n: for the lcm of orbit sizes up to
-    m, that is at most m steps.
+def divisors(*orders: int) -> list[int]:
+    """The positive divisors of the lcm of orders, ascending; divisors()
+    is [1].  Each distinct order is factored on its own by trial division,
+    which stops once the unfactored rest is 1 or a prime, and each prime
+    keeps its highest power: an order n costs at most sqrt(n) steps, and
+    the lcm itself is never factored.
     """
-    _check_positive("n", n)
+    for n in orders:
+        _check_positive("n", n)
+    exponents: dict[int, int] = {}
+    for n in set(orders):
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                k = 0
+                while n % p == 0:
+                    n //= p
+                    k += 1
+                exponents[p] = max(exponents.get(p, 0), k)
+            p += 1
+        if n > 1:
+            exponents.setdefault(n, 1)
     out = [1]
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            power = 1
-            powers = []
-            while n % p == 0:
-                n //= p
-                power *= p
-                powers.append(power)
-            out += [d * q for d in out for q in powers]
-        p += 1
-    if n > 1:
-        out += [d * n for d in out]
+    for p, k in exponents.items():
+        out += [d * p**j for d in out for j in range(1, k + 1)]
     return sorted(out)
+
+
+def _join(pieces: list[tuple[int, str]]) -> str:
+    """The signed sum "a - b + c" of (sign, body) pieces, where the sign is
+    that of a nonzero int such as the coefficient; "0" for no pieces."""
+    out = []
+    for sign, body in pieces:
+        if not out:
+            out.append(body if sign > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if sign > 0 else f"- {body}")
+    return " ".join(out) or "0"
 
 
 def is_prime_power(q: int) -> bool:

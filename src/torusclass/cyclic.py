@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import ItemsView, Iterable, Mapping, Sequence
 
-from .combinatorics import _check_nonnegative, _check_positive, _Immutable, divisors
+from .combinatorics import _check_nonnegative, _check_positive, _Immutable, _join, divisors
 from .series import invariant_multiset_counts
 
 
@@ -214,7 +214,7 @@ class CyclicBurnside(_Immutable):
         counting pass per divisor gives one row of marks, and one call of
         the mark kernel pulls all the rows back."""
         _check_nonnegative("truncation", truncation)
-        divs = divisors(math.lcm(*self._coeffs))
+        divs = divisors(*self._coeffs)
         counts = [invariant_multiset_counts(self._cycles(d), truncation) for d in divs]
         return self._from_mark_rows(divs, counts)
 
@@ -238,18 +238,7 @@ class CyclicBurnside(_Immutable):
         return cls(coeffs)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self._coeffs):
-            c = self._coeffs[k]
-            if not parts:
-                parts.append(f"{c}·[{k}]")
-            elif c < 0:
-                parts.append(f"- {-c}·[{k}]")
-            else:
-                parts.append(f"+ {c}·[{k}]")
-        return " ".join(parts)
+        return _join([(c, f"{abs(c)}·[{k}]") for k, c in sorted(self._coeffs.items())])
 
     def __repr__(self) -> str:
         return f"CyclicBurnside({self._coeffs!r})"

@@ -33,7 +33,7 @@ from collections import Counter
 from functools import cache
 from typing import Mapping
 
-from .combinatorics import Partition, _check_positive, _Immutable, partitions
+from .combinatorics import Partition, _check_positive, _Immutable, _join, partitions
 from .series import invariant_multiset_counts
 
 # Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
@@ -200,21 +200,9 @@ class SchurElement(_Immutable):
         }
 
     def __str__(self) -> str:
-        if not self._basis:
-            return "0"
-        parts = []
-        for mu in partitions(self.n):
-            if mu not in self._basis:
-                continue
-            c = self._basis[mu]
-            name = f"[P_({','.join(map(str, mu))})]"
-            if not parts:
-                parts.append(f"{c}·{name}")
-            elif c < 0:
-                parts.append(f"- {-c}·{name}")
-            else:
-                parts.append(f"+ {c}·{name}")
-        return " ".join(parts)
+        # descending, the order in which partitions(n) lists them
+        terms = sorted(self._basis.items(), reverse=True)
+        return _join([(c, f"{abs(c)}·[P_({','.join(map(str, mu))})]") for mu, c in terms])
 
     def __repr__(self) -> str:
         return f"SchurElement(n={self.n}, basis={self._basis!r})"

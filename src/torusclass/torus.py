@@ -52,10 +52,10 @@ from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .combinatorics import (
-    Partition,
     _check_nonnegative,
     _check_positive,
     _Immutable,
+    _join,
     divisors,
     is_prime_power,
 )
@@ -239,49 +239,31 @@ def _lefschetz_power(power: int, dialect: _Dialect) -> str:
     return dialect.power.format(base=dialect.lefschetz, power=power)
 
 
-def _term_body(mag: int, k: int, power: int | None, dialect: _Dialect) -> str:
+def _term_body(mag: int, k: int, power: int, dialect: _Dialect) -> str:
+    """|c| [k] L^power, with power 0 for no power of L."""
     factors = []
     if k >= 2:
         if mag != 1:
             factors.append(str(mag))
         factors.append(dialect.field.format(k=k))
-    elif mag != 1 or power is None or power == 0:
+    elif mag != 1 or power == 0:
         factors.append(str(mag))
-    if power is not None and power >= 1:
+    if power >= 1:
         factors.append(_lefschetz_power(power, dialect))
     return dialect.times.join(factors)
-
-
-def _join(pieces: list[tuple[int, str]]) -> str:
-    out = []
-    for sign, body in pieces:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out)
 
 
 def _render(tc: TorusClass, dialect: _Dialect) -> str:
     pieces: list[tuple[int, str]] = []
     for i, a in enumerate(tc.coeffs):
         power = tc.n - i
-        terms = sorted(a.coeffs.items(), reverse=True)
-        if not terms:
-            continue
-        if power == 0:
-            for k, c in terms:
-                pieces.append((1 if c > 0 else -1, _term_body(abs(c), k, None, dialect)))
-        elif len(terms) == 1:
-            k, c = terms[0]
-            pieces.append((1 if c > 0 else -1, _term_body(abs(c), k, power, dialect)))
-        else:
-            inner = _join(
-                [(1 if c > 0 else -1, _term_body(abs(c), k, None, dialect)) for k, c in terms]
-            )
-            body = f"({inner}){dialect.times}{_lefschetz_power(power, dialect)}"
-            pieces.append((1, body))
-    return _join(pieces) if pieces else "0"
+        terms = sorted(a.terms(), reverse=True)
+        if power == 0 or len(terms) == 1:
+            pieces += [(c, _term_body(abs(c), k, power, dialect)) for k, c in terms]
+        elif terms:
+            inner = _join([(c, _term_body(abs(c), k, 0, dialect)) for k, c in terms])
+            pieces.append((1, f"({inner}){dialect.times}{_lefschetz_power(power, dialect)}"))
+    return _join(pieces)
 
 
 def spec_class(spec: AlgebraSpec) -> CyclicBurnside:
@@ -310,40 +292,43 @@ RHO_COST_BOUND = 10**7
 
 
 @cache
-def _rho_marks(tau: Partition) -> tuple[int, ...]:
-    """Marks of the universal coefficients rho_1..rho_n, n = sum(tau), at a
-    permutation of cycle type tau; entry i - 1 is the mark of rho_i.
+def _rho_marks(shape: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Marks of the universal coefficients rho_1..rho_n at a permutation
+    with count cycles of each length, given by its shape, the (length,
+    count) pairs that invariant_multiset_counts also reads; n is the sum of
+    length * count, and entry i - 1 is the mark of rho_i.
 
     rho_i is the alternating sum, over the compositions of i, of the sets
     of tuples of disjoint subsets with those sizes, signed by tuple length.
     Its mark counts the tuples of disjoint, nonempty subsets fixed by the
     permutation, which are unions of its cycles, with i points in all and
-    sign (-1)^(tuple length).  A dynamic program over the cycles counts the
-    unordered ones: rows[s][j] is the number of ways to place s points'
-    worth of the cycles seen so far into j blocks.  A cycle of length l is
-    skipped, joins one of the j blocks, or opens a block of its own.  The
-    j! orders of the blocks then give mark(rho_i) = sum_j (-1)^j j!
-    rows[i][j].
+    sign (-1)^(tuple length).  A dynamic program over the cycles, count
+    times per length, counts the unordered ones: rows[s][j] is the number
+    of ways to place s points' worth of the cycles seen so far into j
+    blocks.  A cycle of length l is skipped, joins one of the j blocks, or
+    opens a block of its own.  The j! orders of the blocks then give
+    mark(rho_i) = sum_j (-1)^j j! rows[i][j].
     """
-    n = sum(tau)
+    n = sum(length * count for length, count in shape)
     rows: list[list[int]] = [[1]] + [[] for _ in range(n)]
     seen = 0
-    for length in tau:
-        # descending s reads each row before this cycle writes to it
-        for s in range(min(seen, n - length), -1, -1):
-            src = rows[s]
-            if not src:
-                continue
-            dst = rows[s + length]
-            if len(dst) <= len(src):
-                dst.extend([0] * (len(src) + 1 - len(dst)))
-            for j, v in enumerate(src):
-                if v:
-                    dst[j] += j * v
-                    dst[j + 1] += v
-        seen += length
+    for length, count in shape:
+        for _ in range(count):
+            # descending s reads each row before this cycle writes to it
+            for s in range(min(seen, n - length), -1, -1):
+                src = rows[s]
+                if not src:
+                    continue
+                dst = rows[s + length]
+                if len(dst) <= len(src):
+                    dst.extend([0] * (len(src) + 1 - len(dst)))
+                for j, v in enumerate(src):
+                    if v:
+                        dst[j] += j * v
+                        dst[j + 1] += v
+            seen += length
     signed = [1]
-    for j in range(1, len(tau) + 1):
+    for j in range(1, sum(count for _, count in shape) + 1):
         signed.append(-j * signed[-1])
     return tuple(sum(w * v for w, v in zip(signed, row)) for row in rows[1:])
 
@@ -353,15 +338,15 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     rho_i along the Frobenius cycle type.  The marks of every rho_i at the
     cycle type of each power of Frobenius come from one dynamic program
     per distinct type (_rho_marks), one row per divisor of lcm(parts),
-    and one call of the mark kernel pulls every coefficient back.
+    taken from the parts, and one call of the mark kernel pulls every
+    coefficient back.  Each type is its shape, the (length, count) pairs
+    of its cycles, so none is spelt out.
 
     Its domain is a cost estimate of those programs, taken before any of
-    them runs: n len(t)^2 / 2 summed over the distinct types t, at most
-    RHO_COST_BOUND.  It reads each type t from its shape, the (length,
-    count) pairs of its cycles, which fixes t without spelling out its
-    len(t) entries, so a declined type is never built."""
+    them runs: n c^2 / 2 summed over the distinct shapes with c cycles,
+    at most RHO_COST_BOUND."""
     n = spec.n
-    divs = divisors(math.lcm(*spec.parts))
+    divs = divisors(*spec.parts)
     shapes = []
     for d in divs:
         counts: dict[int, int] = {}
@@ -372,8 +357,7 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     cost = sum(n * sum(g for _, g in s) ** 2 for s in set(shapes)) // 2
     if cost > RHO_COST_BOUND:
         raise OutsideDomain(f"mark DP estimate {cost:,} > {RHO_COST_BOUND:,}")
-    types = [tuple(length for length, g in s for _ in range(g)) for s in shapes]
-    coeffs = CyclicBurnside._from_mark_rows(divs, [_rho_marks(t) for t in types])
+    coeffs = CyclicBurnside._from_mark_rows(divs, [_rho_marks(s) for s in shapes])
     return TorusClass(n, [CyclicBurnside.ONE, *coeffs])
 
 
@@ -496,8 +480,8 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its
 # TorusClass, or raises OutsideDomain before doing any work.  The CLI
-# reads the names as `--method` choices on each call it reads itself, and
-# once more if it builds its argparse tree.
+# takes the names, with "all", as its `--method` choices when it is
+# imported.
 ROUTES = {
     "lambda": class_via_lambda,
     "rho": class_via_universal,

@@ -328,6 +328,10 @@ EDGE_ARGV = [
     ["lambda", "--n", "3", "--i", "1", "--format", "json"],
     ["lambda", "--n", "x", "--n", "3", "--i", "1"],
     ["class", "--partition", "-h"],
+    ["marks", "--n", "1_0"],
+    ["lambda", "--n", "\u0663", "--i", "1"],
+    ["lambda", "--n", "+3", "--i", "1"],
+    ["lambda", "--n", " 3", "--i", "1"],
 ]
 
 
@@ -563,6 +567,23 @@ def test_a_partition_is_read_in_ascii_decimal_digits_only(capsys, text):
     # int() would read these as (10,), (3,), (3,) and (3, 2)
     assert _run(capsys, ["class", "--partition", text]) == (
         2, "", f"error: cannot parse partition {text!r}\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "\u0663"])
+def test_an_int_flag_is_read_in_ascii_decimal_digits_only(capsys, text):
+    # int() would read each of these as 10 or 3; argparse prints the usage
+    # line, then its own error for the type
+    with pytest.raises(SystemExit) as excinfo:
+        main(["marks", "--n", text])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --n: invalid int value: {text!r}\n")
+
+
+def test_a_negative_int_flag_reaches_its_command(capsys):
+    assert _run(capsys, ["verify", "--partition", "2", "--qmax", "-1"]) == (
+        2, "", "error: --qmax must be at least 2\n"
     )
 
 

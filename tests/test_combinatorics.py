@@ -1,6 +1,11 @@
 """Enumeration layer: orders, counts, cycle-type powers."""
 
+import math
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.counting import compositions, multinomial, power_cycle_type
 from oracles.gsets import cycle_type, perm_of_cycle_type
@@ -147,6 +152,26 @@ def test_divisors_match_a_scan():
     for bad in (0, -4, True, 2.0, 1.5):
         with pytest.raises(ValueError):
             divisors(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 10**4), max_size=4))
+def test_divisors_of_several_orders_are_those_of_their_lcm(orders):
+    # the parts are factored one by one and their exponents merged: 0 to 6
+    # orders, the first two repeated, and no orders at all (lcm 1) included
+    orders += orders[:2]
+    assert divisors(*orders) == divisors(math.lcm(*orders))
+
+
+def test_divisors_of_two_huge_primes_skip_factoring_their_lcm():
+    # trial division of the lcm would run to its second largest prime, 10^8
+    start = time.perf_counter()
+    assert divisors(100000007, 99999989) == [1, 99999989, 100000007, 100000007 * 99999989]
+    assert time.perf_counter() - start < 1
+    assert divisors() == [1]
+    for bad in ((2, 0), (3, True), (1, True), (4, 2.0)):
+        with pytest.raises(ValueError):
+            divisors(*bad)
 
 
 def test_prime_powers_match_a_scan():
