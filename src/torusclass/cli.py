@@ -183,12 +183,15 @@ def _check_grid_prints(spec: AlgebraSpec, qmax: int, emax: int) -> None:
     """Refuse, before any route runs, a grid whose largest point count has
     more digits than int to str conversion allows (a limit of 0 is none).
     Counts grow with q and e, so the largest is the oracle's at the largest
-    field size q <= qmax and at emax.  It is at least q^(n (emax - 1)), which
-    refuses a grid far past the limit without computing the count."""
+    field size q <= qmax and at emax: the product over the parts n_j of
+    (q^m_j - 1)^g_j, g_j = gcd(n_j, emax), where the m_j g_j sum to n emax.
+    As q^m - 1 >= q^m / 2, it is at least q^(n emax) / 2^(sum of the g_j),
+    which refuses a grid far past the limit without computing the count."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     q = next(q for q in range(qmax, 1, -1) if is_prime_power(q))
+    halvings = sum(math.gcd(nj, emax) for nj in spec.parts)
     if limit and (
-        spec.n * (emax - 1) * math.log10(q) > limit + 1
+        spec.n * emax * math.log10(q) - halvings * math.log10(2) > limit + 1
         or point_count_oracle(spec, q, emax) >= 10**limit
     ):
         raise ValueError(

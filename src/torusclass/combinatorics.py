@@ -1,5 +1,6 @@
-"""Partitions, divisors and prime powers, the signed-sum printer, and the
-checks and immutable base that the value classes share.
+"""Partitions, divisors and prime powers, invariant multiset counts, the
+signed-sum printer, and the checks and immutable base that the value
+classes share.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -8,6 +9,7 @@ indexing, JSON output, and cache keys are reproducible across runs.
 from __future__ import annotations
 
 from functools import cache
+from typing import Mapping
 
 Partition = tuple[int, ...]
 
@@ -15,10 +17,26 @@ Partition = tuple[int, ...]
 class _Immutable:
     """Base of the value classes, whose hashes and memo tables rely on
     attributes that never change: __init__ sets them with
-    object.__setattr__, and assignment and deletion are refused.  Its
-    empty __slots__ keeps a slotted subclass free of a __dict__."""
+    object.__setattr__, and assignment and deletion are refused.  Each
+    value class is slotted, and its slots are its value: it equals an
+    instance of its class with equal slots, and hashes as their tuple (a
+    class with a dict in its slots overrides __hash__).  The base's empty
+    __slots__ adds no __dict__."""
 
     __slots__ = ()
+
+    def _slot_values(self) -> tuple:
+        # every slot along the MRO, so a subclass with empty slots compares too
+        slots = (s for c in type(self).__mro__ for s in getattr(c, "__slots__", ()))
+        return tuple(getattr(self, s) for s in slots)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._slot_values() == other._slot_values()
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -27,10 +45,9 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __setstate__(self, state):
-        # copy and pickle hand back a __dict__, or a (__dict__ or None,
-        # slots) pair, which plain assignment would refuse
-        attrs, slots = state if isinstance(state, tuple) else (state, None)
-        for name, value in {**(attrs or {}), **(slots or {})}.items():
+        # copy and pickle hand back a (None, slots) pair, which plain
+        # assignment would refuse
+        for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
 
@@ -94,6 +111,32 @@ def divisors(*orders: int) -> list[int]:
     for p, k in exponents.items():
         out += [d * p**j for d in out for j in range(1, k + 1)]
     return sorted(out)
+
+
+def invariant_multiset_counts(cycles: Mapping[int, int], truncation: int) -> list[int]:
+    """Number of k-multisets invariant under a permutation, for
+    k = 0..truncation, where ``cycles`` maps each cycle length to its
+    signed multiplicity.
+
+    An invariant multiset has constant multiplicity along each cycle, so
+    the counting series is the product of (1 - x^c)^(-m) over cycle
+    lengths c of multiplicity m.  It is applied one factor at a time: a
+    real cycle divides by (1 - x^c), an ascending prefix-sum pass, and a
+    virtual cycle (m < 0) multiplies by (1 - x^c), a descending
+    difference pass.  Each pass costs O(truncation), and no series
+    division is needed.
+    """
+    counts = [1] + [0] * truncation
+    for length, mult in cycles.items():
+        if mult > 0:
+            for _ in range(mult):
+                for k in range(length, truncation + 1):
+                    counts[k] += counts[k - length]
+        else:
+            for _ in range(-mult):
+                for k in range(truncation, length - 1, -1):
+                    counts[k] -= counts[k - length]
+    return counts
 
 
 def _join(pieces: list[tuple[int, str]]) -> str:

@@ -37,8 +37,9 @@ from __future__ import annotations
 import math
 from typing import ItemsView, Iterable, Mapping, Sequence
 
-from .combinatorics import _check_nonnegative, _check_positive, _Immutable, _join, divisors
-from .series import invariant_multiset_counts
+from .combinatorics import (
+    _check_nonnegative, _check_positive, _Immutable, _join, divisors, invariant_multiset_counts
+)
 
 
 class CyclicBurnside(_Immutable):

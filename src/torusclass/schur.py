@@ -33,8 +33,9 @@ from collections import Counter
 from functools import cache
 from typing import Mapping
 
-from .combinatorics import Partition, _check_positive, _Immutable, _join, partitions
-from .series import invariant_multiset_counts
+from .combinatorics import (
+    Partition, _check_positive, _Immutable, _join, invariant_multiset_counts, partitions
+)
 
 # Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
 # to keep table sizes sane.
@@ -180,12 +181,8 @@ class SchurElement(_Immutable):
         """The mark at the identity: the virtual size of the set."""
         return self._mark((1,) * self.n)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        return self.n == other.n and self._basis == other._basis
-
     def __hash__(self) -> int:
+        # _basis is a dict, so the base's hash of the slots cannot take it
         return hash((self.n, tuple(sorted(self._basis.items()))))
 
     def to_json(self) -> dict:

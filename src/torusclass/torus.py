@@ -73,21 +73,13 @@ class AlgebraSpec(_Immutable):
     descending.  The empty tuple is the zero algebra (n = 0).  Immutable,
     compared and hashed by its parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int]):
         parts = tuple(sorted(parts, reverse=True))
         if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError("factor degrees must be positive integers")
         object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     def __repr__(self) -> str:
         return f"AlgebraSpec(parts={self.parts!r})"
@@ -134,14 +126,6 @@ class TorusClass(_Immutable):
         if power > self.n:
             raise ValueError(f"power {power} out of range 0..{self.n}")
         return self.coeffs[self.n - power]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusClass):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
 
     def __mul__(self, other: "TorusClass") -> "TorusClass":
         """Product of polynomials in L, by _product on the flattened terms."""

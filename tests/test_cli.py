@@ -636,6 +636,8 @@ def test_bad_verify_grid_exits_2(capsys):
         ["--partition", "1", "--emax", "7000"],
         ["--partition", "13,11,7,5,3,2", "--emax", "300"],
         ["--partition", "2", "--qmax", "10", "--emax", "1000000000"],
+        # at emax = 1 the count 3^(3 * 10^7) - 1 is refused from its lower bound q^n / 2
+        ["--partition", "30000000", "--qmax", "3", "--emax", "1"],
     ],
 )
 def test_verify_refuses_a_grid_it_could_not_print(capsys, argv):
@@ -720,6 +722,7 @@ def test_package_ships_only_the_routes():
     for name in torusclass.__all__:
         assert getattr(torusclass, name) is not None, name
     assert importlib.util.find_spec("torusclass.gsets") is None
+    assert importlib.util.find_spec("torusclass.series") is None
     # a fresh interpreter that finds the package where this one did
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(torusclass.__file__)))
     probe = "import torusclass, torusclass.cli, sys; print('torusclass.gsets' in sys.modules)"

@@ -27,7 +27,7 @@ from torusclass.schur import (
     mark_matrix,
     torus_coefficient,
 )
-from torusclass.series import invariant_multiset_counts
+from torusclass.combinatorics import invariant_multiset_counts
 
 
 def _brute_force_mark(n, mu, lam):

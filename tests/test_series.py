@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles.counting import lambda_from_sigma, sigma_from_lambda
 from torusclass.cyclic import CyclicBurnside
-from torusclass.series import invariant_multiset_counts
+from torusclass.combinatorics import invariant_multiset_counts
 
 
 def test_invariant_multiset_counts_examples():

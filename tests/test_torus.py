@@ -240,9 +240,8 @@ each_value_class = pytest.mark.parametrize(
 @each_value_class
 def test_values_refuse_attribute_assignment_and_deletion(value):
     # hashes, equality and the memo tables holding these values rely on
-    # their attributes never changing; AlgebraSpec keeps its parts in a
-    # __dict__, the others in slots
-    names = type(value).__slots__ or list(vars(value))
+    # their attributes never changing
+    names = type(value).__slots__
     assert names
     message = f"{type(value).__name__} is immutable"
     for name in names:
@@ -263,17 +262,33 @@ def test_values_refuse_attribute_assignment_and_deletion(value):
 def test_values_survive_copy_and_pickle(value, duplicate):
     # restoring the state of a copy must not trip the refusal of assignment
     twin = duplicate(value)
-    names = type(value).__slots__ or list(vars(value))
+    names = type(value).__slots__
     assert all(getattr(twin, name) == getattr(value, name) for name in names)
-    if type(value).__hash__ is not object.__hash__:
-        assert twin == value and hash(twin) == hash(value)
+    assert twin == value and hash(twin) == hash(value)
     with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
         setattr(twin, names[0], getattr(value, names[0]))
 
 
+@each_value_class
+def test_values_equal_only_values_of_their_class(value):
+    # equality compares slots, but only with an instance of the same class:
+    # neither the plain tuple of the slot values nor another class's value
+    slots = tuple(getattr(value, name) for name in type(value).__slots__)
+    assert value != slots and slots != value
+    other = AlgebraSpec((2, 1)) if not isinstance(value, AlgebraSpec) else mark_matrix(3)
+    assert value != other and other != value
+
+
 def test_slotted_values_have_no_instance_dict():
     # the shared immutable base has empty slots, so it adds no __dict__
-    for value in (CyclicBurnside.ONE, BENCHMARKS[(2, 2)], torus_coefficient(3, 1), mark_matrix(3)):
+    values = (
+        CyclicBurnside.ONE,
+        BENCHMARKS[(2, 2)],
+        torus_coefficient(3, 1),
+        mark_matrix(3),
+        AlgebraSpec((2, 1)),
+    )
+    for value in values:
         assert not hasattr(value, "__dict__")
 
 
