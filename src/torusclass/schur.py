@@ -9,7 +9,8 @@ complement as an extra block, so the ``[P_mu]`` over partitions of n span
 every tuple-set class.
 
 An element is stored in basis coordinates, an integer combination of
-``[P_mu]``.  Its ghost coordinates, the fixed-point counts under one
+``[P_mu]``: its nonzero (mu, c) pairs in the order of partitions(n), one
+canonical form.  Its ghost coordinates, the fixed-point counts under one
 permutation per cycle type of n (the marks), are derived on demand, one
 cycle type at a time: the mark of ``[P_mu]`` at cycle type lam counts the
 ways to fill the blocks of mu with the cycles of lam.
@@ -22,8 +23,9 @@ spanning classes are linearly independent.  The solve is forward
 substitution on integers; a remainder means the marks cannot come from a
 real element of the subring and raises ArithmeticError.
 
-The module backs the lambda, rho and marks commands; the unit-torus
-routes compute in their own algebras and do not use it.
+SchurElement and MarkMatrix each have one constructor, which checks its
+input.  The module backs the lambda, rho and marks commands; the
+unit-torus routes compute in their own algebras and do not use it.
 """
 
 from __future__ import annotations
@@ -89,10 +91,9 @@ class MarkMatrix(_Immutable):
     __slots__ = ("n", "index", "entries")
 
     def __init__(self, n: int):
+        _check_degree(n)
         index = tuple(partitions(n))
-        entries = tuple(
-            tuple(_assignments(lam, mu) for lam in index) for mu in index
-        )
+        entries = tuple(tuple(_assignments(lam, mu) for lam in index) for mu in index)
         if any(entries[i][i] == 0 for i in range(len(index))):
             raise ArithmeticError("mark matrix is singular; tuple classes are not independent")
         object.__setattr__(self, "n", n)
@@ -102,9 +103,9 @@ class MarkMatrix(_Immutable):
     def basis_from_marks(self, marks: Mapping[Partition, int]) -> dict[Partition, int]:
         """Solve marks[lam] = sum_mu coeff[mu] * entries[mu][lam] by forward
         substitution: the equation at the j-th cycle type involves only the
-        first j + 1 coefficients, so it yields the j-th."""
+        first j + 1 coefficients, so it yields the j-th.  Zeros are kept;
+        the SchurElement built from the result drops them."""
         coeffs = []
-        out = {}
         for j, p in enumerate(self.index):
             rest = marks[p] - sum(c * self.entries[i][j] for i, c in enumerate(coeffs) if c)
             c, remainder = divmod(rest, self.entries[j][j])
@@ -114,9 +115,7 @@ class MarkMatrix(_Immutable):
                     f"(coefficient of {p} is {rest}/{self.entries[j][j]})"
                 )
             coeffs.append(c)
-            if c:
-                out[p] = c
-        return out
+        return dict(zip(self.index, coeffs))
 
     def __repr__(self) -> str:
         return f"MarkMatrix(n={self.n})"
@@ -124,23 +123,16 @@ class MarkMatrix(_Immutable):
 
 @cache
 def mark_matrix(n: int) -> MarkMatrix:
-    _check_degree(n)
     return MarkMatrix(n)
 
 
 class SchurElement(_Immutable):
     """An element of the tuple-class subring of the degree-n symmetric
-    group's Burnside ring, stored in basis coordinates."""
+    group's Burnside ring, stored as its canonical basis pairs."""
 
     __slots__ = ("n", "_basis")
 
-    def __init__(self, n: int, basis: dict[Partition, int]):
-        # internal: callers go through from_basis / from_marks
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_basis", basis)
-
-    @classmethod
-    def from_basis(cls, n: int, basis: Mapping[Partition, int]) -> "SchurElement":
+    def __init__(self, n: int, basis: Mapping[Partition, int]):
         _check_degree(n)
         clean = {}
         for mu, c in basis.items():
@@ -149,11 +141,15 @@ class SchurElement(_Immutable):
                 raise ValueError(f"coefficient {c!r} must be an integer")
             if c != 0:
                 clean[mu] = c
-        return cls(n, clean)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_basis", tuple(sorted(clean.items(), reverse=True)))
+
+    @classmethod
+    def from_basis(cls, n: int, basis: Mapping[Partition, int]) -> "SchurElement":
+        return cls(n, basis)
 
     @classmethod
     def from_marks(cls, n: int, marks: Mapping[Partition, int]) -> "SchurElement":
-        _check_degree(n)
         matrix = mark_matrix(n)
         for lam in matrix.index:
             if lam not in marks:
@@ -170,7 +166,7 @@ class SchurElement(_Immutable):
         return {lam: self._mark(lam) for lam in partitions(self.n)}
 
     def _mark(self, lam: Partition) -> int:
-        return sum(c * _assignments(lam, mu) for mu, c in self._basis.items())
+        return sum(c * _assignments(lam, mu) for mu, c in self._basis)
 
     def mark(self, lam) -> int:
         """Fixed points under one permutation of the given cycle type."""
@@ -181,28 +177,18 @@ class SchurElement(_Immutable):
         """The mark at the identity: the virtual size of the set."""
         return self._mark((1,) * self.n)
 
-    def __hash__(self) -> int:
-        # _basis is a dict, so the base's hash of the slots cannot take it
-        return hash((self.n, tuple(sorted(self._basis.items()))))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "basis": {
-                ",".join(map(str, mu)): self._basis[mu]
-                for mu in partitions(self.n)
-                if mu in self._basis
-            },
+            "basis": {",".join(map(str, mu)): c for mu, c in self._basis},
             "marks": {",".join(map(str, lam)): v for lam, v in self.marks.items()},
         }
 
     def __str__(self) -> str:
-        # descending, the order in which partitions(n) lists them
-        terms = sorted(self._basis.items(), reverse=True)
-        return _join([(c, f"{abs(c)}·[P_({','.join(map(str, mu))})]") for mu, c in terms])
+        return _join([(c, f"{abs(c)}·[P_({','.join(map(str, mu))})]") for mu, c in self._basis])
 
     def __repr__(self) -> str:
-        return f"SchurElement(n={self.n}, basis={self._basis!r})"
+        return f"SchurElement(n={self.n}, basis={self.basis!r})"
 
 
 def torus_coefficient(n: int, i: int) -> SchurElement:
@@ -226,7 +212,6 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
             orderings //= math.factorial(m)
         mu = kappa if i == n else tuple(sorted(kappa + (n - i,), reverse=True))
         basis[mu] = basis.get(mu, 0) + (-1) ** len(kappa) * orderings
-    # the keys are partitions of n by construction, and no entry is zero
     return SchurElement(n, basis)
 
 

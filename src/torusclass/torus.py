@@ -455,11 +455,11 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     fiber is Frobenius, of cycle type spec.parts, and L is the product of
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
     of a product are the product of the units: _product multiplies the
-    blocks' terms, and the zero algebra's class is the point."""
-    terms = ()
+    blocks' terms into the point's, (0, 1, 1), the empty product."""
+    terms = ((0, 1, 1),)
     for t, a in Counter(spec.parts).items():
-        terms = _product(terms, _units_of_type(t, a), spec.n) if terms else _units_of_type(t, a)
-    return _from_terms(spec.n, terms or ((0, 1, 1),))
+        terms = _product(terms, _units_of_type(t, a), spec.n)
+    return _from_terms(spec.n, terms)
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its

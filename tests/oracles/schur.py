@@ -34,7 +34,7 @@ class Ring(SchurElement):
         if isinstance(other, SchurElement):
             if other.n != self.n:
                 raise ValueError("degree mismatch")
-            return Ring(other.n, other._basis)
+            return Ring(other.n, other.basis)
         if isinstance(other, int) and not isinstance(other, bool):
             return Ring.from_basis(self.n, {(self.n,): other})
         return NotImplemented
@@ -46,22 +46,23 @@ class Ring(SchurElement):
 
     def __hash__(self) -> int:
         # an element equal to an int, a multiple of the unit, hashes like it
-        if self._basis.keys() <= {(self.n,)}:
-            return hash(self._basis.get((self.n,), 0))
+        basis = self.basis
+        if basis.keys() <= {(self.n,)}:
+            return hash(basis.get((self.n,), 0))
         return super().__hash__()
 
     def __add__(self, other) -> "Ring":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        basis = Counter(self._basis)
-        basis.update(other._basis)
-        return Ring(self.n, {mu: c for mu, c in basis.items() if c})
+        basis = Counter(self.basis)
+        basis.update(other.basis)
+        return Ring(self.n, basis)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Ring":
-        return Ring(self.n, {mu: -c for mu, c in self._basis.items()})
+        return Ring(self.n, {mu: -c for mu, c in self.basis.items()})
 
     def __sub__(self, other) -> "Ring":
         other = self._coerce(other)

@@ -22,6 +22,7 @@ from torusclass.combinatorics import partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import (
     DEGREE_BOUND,
+    MarkMatrix,
     SchurElement,
     lambda_standard,
     mark_matrix,
@@ -71,8 +72,10 @@ def test_mark_matrix_bounds():
     "build",
     [
         mark_matrix,
+        MarkMatrix,
         Ring.zero,
         Ring.unit,
+        lambda n: SchurElement(n, {}),
         lambda n: SchurElement.from_basis(n, {}),
         lambda n: SchurElement.from_marks(n, {(1,): 1}),
         lambda n: tuple_set_class(n, (1,)),
@@ -142,6 +145,11 @@ def test_bool_rejected_as_an_integer():
     assert unit != True  # noqa: E712
     with pytest.raises(ValueError):
         SchurElement.from_basis(3, {(3,): True})
+    # the constructor is the one way in, and it checks like from_basis
+    with pytest.raises(ValueError):
+        SchurElement(3, {(3,): True})
+    with pytest.raises(ValueError):
+        SchurElement(3, {(5,): 1})
     with pytest.raises(ValueError):
         tuple_set_class(3, (True, 2))
     assert unit + 1 == 2 * unit
@@ -212,6 +220,22 @@ def test_derived_marks_are_mark_matrix_row_sums(x):
     for lam in m.index:
         assert marks[lam] == sum(c * entry(m, mu, lam) for mu, c in x.basis.items())
     assert SchurElement.from_marks(x.n, marks) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_key_order_is_immaterial(data):
+    # the basis is kept in one canonical order, so the order a caller lists
+    # it in reaches neither equality, hashing, printing nor JSON
+    n = data.draw(st.integers(1, 8))
+    coeffs = data.draw(
+        st.dictionaries(st.sampled_from(partitions(n)), st.integers(-3, 3), max_size=8)
+    )
+    shuffled = dict(data.draw(st.permutations(list(coeffs.items()))))
+    x, y = SchurElement(n, coeffs), SchurElement(n, shuffled)
+    assert x == y and hash(x) == hash(y)
+    assert str(x) == str(y) and x.to_json() == y.to_json()
+    assert list(x.basis) == [mu for mu in partitions(n) if coeffs.get(mu)]
 
 
 def test_from_marks_requires_all_cycle_types():
