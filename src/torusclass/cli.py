@@ -58,6 +58,15 @@ def _render_class(tc: TorusClass, fmt: str) -> str:
     return tc.text()
 
 
+def _print_rendered(text: str) -> None:
+    """print(text), written 64 KiB at a time: a whole long output, such as
+    the class of (5000,), would otherwise be encoded into a second copy."""
+    step = 1 << 16
+    for start in range(0, len(text), step):
+        sys.stdout.write(text[start:start + step])
+    sys.stdout.write("\n")
+
+
 def _partition_key(lam) -> str:
     return ",".join(map(str, lam))
 
@@ -83,7 +92,7 @@ def cmd_class(args) -> int:
     spec = AlgebraSpec.parse(args.partition)
     if args.method != "all":
         tc = ROUTES[args.method](spec)
-        print(_render_class(tc, args.format))
+        _print_rendered(_render_class(tc, args.format))
         return 0
     results, first = _all_routes(spec)
     reference = results[first]
@@ -96,7 +105,7 @@ def cmd_class(args) -> int:
                 print(f"{name + ':':<11}{tc.text()}")
         print("AGREE" if agree else "DISAGREE")
     else:
-        print(_render_class(reference, args.format))
+        _print_rendered(_render_class(reference, args.format))
     if not agree:
         print("error: computation methods disagree", file=sys.stderr)
         return 1

@@ -20,22 +20,27 @@ is fixed by the L-th power of the generator, so it is determined by its
 marks at the divisors of L.  The d-th power of the generator splits the
 element into cycles (its base change along d), and the invariant
 multisets of a permutation are counted by an integer series, virtual
-elements included: one counting pass per divisor.  Nothing is
-materialized.  Alternating powers need no second series: sigma_t(-x) =
-sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x).
+elements included: one counting pass per cycle type, memoised by its
+sorted (length, multiplicity) pairs and the truncation (_cycle_counts),
+since the cycle types of powers of Frobenius recur across elements.
+Nothing is materialized.  Alternating powers need no second series:
+sigma_t(-x) = sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x).
 
 Every route pulls marks back the same way, through one kernel
 (_from_mark_rows), once per class: the marks at the divisors of L are a
 zeta transform of the orbit counts over the divisor lattice, inverted by a
 Moebius transform one prime of L at a time, on every coefficient at once.
 For D divisors and omega distinct primes that costs O(D * omega) rather
-than the O(D^2) of solving divisor by divisor.
+than the O(D^2) of solving divisor by divisor.  The transform's row steps
+depend on the divisors only, so they are listed once per divisor list
+(_moebius_steps), and one pass then builds each coefficient's dict.
 """
 
 from __future__ import annotations
 
 import math
-from typing import ItemsView, Iterable, Mapping, Sequence
+from functools import cache
+from typing import ItemsView, Mapping, Sequence
 
 from .combinatorics import (
     _check_nonnegative, _check_positive, _Immutable, _join, divisors, invariant_multiset_counts
@@ -63,11 +68,12 @@ class CyclicBurnside(_Immutable):
         object.__setattr__(self, "_coeffs", clean)
 
     @classmethod
-    def _trusted(cls, terms: Iterable[tuple[int, int]]) -> "CyclicBurnside":
-        """An element from (orbit size, coefficient) pairs built here from
-        integers the package owns: only zeros are dropped, unlike __init__."""
+    def _trusted(cls, coeffs: dict[int, int]) -> "CyclicBurnside":
+        """An element that adopts coeffs, a fresh dict of nonzero
+        coefficients built here from integers the package owns: unlike
+        __init__, nothing is checked or copied."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", {k: c for k, c in terms if c})
+        object.__setattr__(self, "_coeffs", coeffs)
         return self
 
     @classmethod
@@ -118,12 +124,12 @@ class CyclicBurnside(_Immutable):
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
             out[k] = out.get(k, 0) + c
-        return CyclicBurnside._trusted(out.items())
+        return CyclicBurnside._trusted({k: c for k, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclicBurnside":
-        return CyclicBurnside._trusted((k, -c) for k, c in self._coeffs.items())
+        return CyclicBurnside._trusted({k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "CyclicBurnside":
         other = self._coerce(other)
@@ -146,7 +152,7 @@ class CyclicBurnside(_Immutable):
             for b, cb in other._coeffs.items():
                 k = math.lcm(a, b)
                 out[k] = out.get(k, 0) + ca * cb * math.gcd(a, b)
-        return CyclicBurnside._trusted(out.items())
+        return CyclicBurnside._trusted({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -164,40 +170,35 @@ class CyclicBurnside(_Immutable):
         of an order L: rows[j][i] is the mark of element i at divs[j].
         Callers build divs themselves, so no key is checked; an inconsistent
         vector shows up as a non-integral division and raises ValueError.
+        Rows may be tuples shared with a memo table: none is written to.
 
         The marks are fix(d) = sum_{k | d} g(k) with g(k) = k a_k, a zeta
         transform over the divisor lattice.  It is inverted one prime p of
         L at a time, row by row: g(d) -= g(d / p) over the divisors in
-        decreasing order.  The primes are the divisors that divide the still
-        unfactored rest of L, taken in ascending order.  g(d) is then the
-        numerator that an inversion by increasing d would meet, so a
-        vector with a non-integral a_d is rejected at the same first d.
+        decreasing order, each step a fresh row (_moebius_steps lists the
+        steps once per divisor list).  Then one pass over the divisors in
+        ascending order divides each nonzero g(d) by d and writes a_d
+        straight into its element's dict.  g(d) is the numerator that an
+        inversion by increasing d would meet, so a vector with a
+        non-integral a_d is rejected at the same first d.
         """
-        g = list(rows)  # each step builds a new row, so no row is written to
-        position = {d: j for j, d in enumerate(divs)}
-        rest = divs[-1]
-        for p in divs[1:]:
-            if rest == 1:
-                break
-            if rest % p:
-                continue
-            while rest % p == 0:
-                rest //= p
-            for j in range(len(divs) - 1, 0, -1):
-                d = divs[j]
-                if d % p == 0:
-                    g[j] = [x - y for x, y in zip(g[j], g[position[d // p]])]
-        quotients = g[:1]  # d = 1 divides every numerator
-        for d, row in zip(divs[1:], g[1:]):
-            if any([num % d for num in row]):
-                raise ValueError(f"mark vector is inconsistent at exponent {d}")
-            quotients.append([num // d for num in row])
-        return [cls._trusted(zip(divs, column)) for column in zip(*quotients)]
+        g = list(rows)
+        for j, i in _moebius_steps(tuple(divs)):
+            g[j] = [x - y for x, y in zip(g[j], g[i])]
+        coeffs: list[dict[int, int]] = [{} for _ in g[0]]
+        for d, row in zip(divs, g):
+            for acc, num in zip(coeffs, row):
+                if num:
+                    a, r = divmod(num, d)
+                    if r:
+                        raise ValueError(f"mark vector is inconsistent at exponent {d}")
+                    acc[d] = a
+        return [cls._trusted(acc) for acc in coeffs]
 
     def base_change(self, d: int) -> "CyclicBurnside":
         """Restriction to the index-d subgroup: [k] -> gcd(d, k) [k / gcd(d, k)]."""
         _check_positive("d", d)
-        return CyclicBurnside._trusted(self._cycles(d).items())
+        return CyclicBurnside._trusted({k: m for k, m in self._cycles(d).items() if m})
 
     def _cycles(self, d: int) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -212,11 +213,11 @@ class CyclicBurnside(_Immutable):
         At each divisor d of the lcm of the orbit sizes, the d-th power of
         the generator acts with the cycles of base_change(d), so the marks
         of every sigma^j there are its invariant multiset counts: one
-        counting pass per divisor gives one row of marks, and one call of
-        the mark kernel pulls all the rows back."""
+        memoised counting pass per cycle type gives one row of marks, and
+        one call of the mark kernel pulls all the rows back."""
         _check_nonnegative("truncation", truncation)
         divs = divisors(*self._coeffs)
-        counts = [invariant_multiset_counts(self._cycles(d), truncation) for d in divs]
+        counts = [_cycle_counts(tuple(sorted(self._cycles(d).items())), truncation) for d in divs]
         return self._from_mark_rows(divs, counts)
 
     def to_json(self) -> dict[str, int]:
@@ -243,6 +244,40 @@ class CyclicBurnside(_Immutable):
 
     def __repr__(self) -> str:
         return f"CyclicBurnside({self._coeffs!r})"
+
+
+@cache
+def _moebius_steps(divs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The row steps g[j] -= g[i] of the mark kernel's Moebius transform
+    over the ascending divisors divs of L, as (j, i) positions in order:
+    for each prime p of L, ascending, every d = divs[j] that p divides, in
+    decreasing order, with divs[i] = d / p.  The primes are the divisors
+    that divide the still unfactored rest of L."""
+    position = {d: j for j, d in enumerate(divs)}
+    steps = []
+    rest = divs[-1]
+    for p in divs[1:]:
+        if rest == 1:
+            break
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        for j in range(len(divs) - 1, 0, -1):
+            d = divs[j]
+            if d % p == 0:
+                steps.append((j, position[d // p]))
+    return tuple(steps)
+
+
+@cache
+def _cycle_counts(shape: tuple[tuple[int, int], ...], truncation: int) -> tuple[int, ...]:
+    """invariant_multiset_counts of the cycles given by shape, sorted
+    (length, signed multiplicity) pairs, as a tuple that no caller can
+    write.  The cycle types of the powers of Frobenius recur across
+    elements, such as the inputs of a table and the lambda and norm-one
+    classes of one input, so sigma_series reads its rows here."""
+    return tuple(invariant_multiset_counts(dict(shape), truncation))
 
 
 CyclicBurnside.ZERO = CyclicBurnside()

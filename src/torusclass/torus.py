@@ -422,7 +422,7 @@ def _from_terms(n: int, terms) -> TorusClass:
     coeffs: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for i, k, c in terms:
         coeffs[i][k] = c
-    return TorusClass(n, [CyclicBurnside._trusted(c.items()) for c in coeffs])
+    return TorusClass(n, [CyclicBurnside._trusted(c) for c in coeffs])
 
 
 @cache

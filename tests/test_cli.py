@@ -61,6 +61,17 @@ def test_class_json_matches_library(capsys):
     assert powers == sorted(powers, reverse=True)
 
 
+def test_an_output_of_several_pieces_prints_as_one(capsys):
+    # (600,) renders to 148-206 kB in each format, past the 64 KiB pieces
+    # that the class command writes, and the text format has non-ASCII dots
+    tc = class_via_lambda(AlgebraSpec((600,)))
+    renders = {"text": tc.text(), "json": json.dumps(tc.to_json()), "latex": tc.latex()}
+    for fmt, text in renders.items():
+        assert len(text) > 2 * (1 << 16)
+        argv = ["class", "--partition", "600", "--method", "lambda", "--format", fmt]
+        assert _run(capsys, argv)[:2] == (0, text + "\n")
+
+
 def test_class_latex(capsys):
     code, out, _ = _run(capsys, ["class", "--partition", "4", "--format", "latex"])
     assert code == 0

@@ -17,8 +17,9 @@ from oracles.gsets import (
     product,
     symmetric_power,
 )
-from torusclass.combinatorics import divisors, partitions
-from torusclass.cyclic import CyclicBurnside
+from torusclass.combinatorics import divisors, invariant_multiset_counts, partitions
+from torusclass.cyclic import CyclicBurnside, _cycle_counts, _moebius_steps
+from torusclass.torus import AlgebraSpec, class_via_lambda, norm_one_class
 
 
 def _random_element(rng, max_orbit=8, span=3):
@@ -195,6 +196,21 @@ def test_mark_kernel_inverts_every_column_in_one_call(xs, multiple, data):
     assert _outcome(CyclicBurnside._from_mark_rows, divs, rows) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_elements, min_size=1, max_size=4), st.integers(1, 2))
+def test_mark_kernel_reads_shared_rows_without_writing_them(xs, multiple):
+    # memoised rows are tuples that later calls share, so the kernel must
+    # take tuple rows and leave every input as it found it
+    order = math.lcm(*(k for x in xs for k in x.coeffs)) * multiple
+    divs = divisors(order)
+    rows = [[x.mark(d) for x in xs] for d in divs]
+    before = (list(divs), [list(row) for row in rows])
+    assert CyclicBurnside._from_mark_rows(divs, rows) == xs
+    assert (divs, rows) == before
+    shared = tuple(tuple(row) for row in rows)
+    assert CyclicBurnside._from_mark_rows(divs, shared) == xs
+
+
 def test_induce_examples():
     two = CyclicBurnside.orbit(2)
     assert induce(two, 3) == CyclicBurnside.orbit(6)
@@ -289,6 +305,39 @@ def test_sigma_series_matches_materialized_symmetric_powers():
                 cyclic_decomposition(symmetric_power(base, j)) for j in range(7)
             ]
             assert x.sigma_series(6) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 8), st.integers(-4, 4), max_size=6),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+def test_memoised_counting_pass_is_the_counting_pass(cycles, truncation, rng):
+    # sigma_series keys the table by the sorted (length, multiplicity)
+    # pairs, zeros included, so a cycle map in any key order finds one row
+    items = list(cycles.items())
+    rng.shuffle(items)
+    row = _cycle_counts(tuple(sorted(items)), truncation)
+    assert list(row) == invariant_multiset_counts(dict(items), truncation)
+    assert _cycle_counts(tuple(sorted(cycles.items())), truncation) is row
+    with pytest.raises(TypeError):
+        row[0] = 0
+
+
+def test_counting_and_moebius_tables_are_shared_across_a_table():
+    # lambda, then norm-one, over the 22 partitions of 8: the cycle types
+    # of the powers of Frobenius recur across inputs and routes, and the
+    # orders have 11 distinct lcms
+    _cycle_counts.cache_clear()
+    _moebius_steps.cache_clear()
+    specs = [AlgebraSpec(p) for p in partitions(8)]
+    for route in (class_via_lambda, norm_one_class):
+        for spec in specs:
+            route(spec)
+    counts = _cycle_counts.cache_info()
+    assert (counts.misses, counts.hits) == (44, 90)
+    assert _moebius_steps.cache_info().misses == 11
 
 
 def _series_product(a, b):
