@@ -1,6 +1,6 @@
 """Partitions, divisors and prime powers, invariant multiset counts, the
-signed-sum printer, and the checks and immutable base that the value
-classes share.
+signed-sum printer, and the integer check and immutable base that the
+value classes share.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -51,16 +51,12 @@ class _Immutable:
             object.__setattr__(self, name, value)
 
 
-def _check_positive(name: str, value) -> None:
-    """Reject anything but a positive int; a bool is not an int here."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name}={value!r} is not a positive integer")
-
-
-def _check_nonnegative(name: str, value) -> None:
-    """Reject anything but an int >= 0, such as a count or a truncation."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name}={value!r} is not a nonnegative integer")
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Reject anything but an int, and one below low when low is given; a
+    bool is not an int here."""
+    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
+        floor = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name}={value!r} is not an integer{floor}")
 
 
 def partitions(n: int) -> list[Partition]:
@@ -93,7 +89,7 @@ def divisors(*orders: int) -> list[int]:
     the lcm itself is never factored.
     """
     for n in orders:
-        _check_positive("n", n)
+        _check_int("n", n, 1)
     exponents: dict[int, int] = {}
     for n in set(orders):
         p = 2

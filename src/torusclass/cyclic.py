@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import ItemsView, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from .combinatorics import (
-    _check_nonnegative, _check_positive, _Immutable, _join, divisors, invariant_multiset_counts
-)
+from .combinatorics import _check_int, _Immutable, _join, divisors, invariant_multiset_counts
 
 
 class CyclicBurnside(_Immutable):
@@ -59,19 +58,18 @@ class CyclicBurnside(_Immutable):
         clean: dict[int, int] = {}
         if coeffs:
             for k, c in coeffs.items():
-                if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                    raise ValueError(f"orbit size {k!r} must be a positive integer")
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise ValueError(f"coefficient {c!r} must be an integer")
+                _check_int("orbit size", k, 1)
+                _check_int("coefficient", c)
                 if c != 0:
                     clean[k] = c
         object.__setattr__(self, "_coeffs", clean)
 
     @classmethod
     def _trusted(cls, coeffs: dict[int, int]) -> "CyclicBurnside":
-        """An element that adopts coeffs, a fresh dict of nonzero
-        coefficients built here from integers the package owns: unlike
-        __init__, nothing is checked or copied."""
+        """An element that adopts coeffs, a fresh dict of nonzero int
+        coefficients that the package built and writes to no more: unlike
+        __init__, nothing is checked or copied, and the coeffs property
+        hands out only a read-only view of it."""
         self = object.__new__(cls)
         object.__setattr__(self, "_coeffs", coeffs)
         return self
@@ -86,13 +84,9 @@ class CyclicBurnside(_Immutable):
         return cls({1: m})
 
     @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    def terms(self) -> ItemsView[int, int]:
-        """Read-only view of the (orbit size, coefficient) pairs, without
-        the copy that coeffs makes."""
-        return self._coeffs.items()
+    def coeffs(self) -> Mapping[int, int]:
+        """Read-only view of the nonzero coefficients by orbit size."""
+        return MappingProxyType(self._coeffs)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -159,7 +153,7 @@ class CyclicBurnside(_Immutable):
     def mark(self, e: int) -> int:
         """Fixed points of the e-th power of the generator: only orbits
         whose size divides e contribute, each with all its points."""
-        _check_positive("e", e)
+        _check_int("e", e, 1)
         return sum(k * c for k, c in self._coeffs.items() if e % k == 0)
 
     @classmethod
@@ -197,7 +191,7 @@ class CyclicBurnside(_Immutable):
 
     def base_change(self, d: int) -> "CyclicBurnside":
         """Restriction to the index-d subgroup: [k] -> gcd(d, k) [k / gcd(d, k)]."""
-        _check_positive("d", d)
+        _check_int("d", d, 1)
         return CyclicBurnside._trusted({k: m for k, m in self._cycles(d).items() if m})
 
     def _cycles(self, d: int) -> dict[int, int]:
@@ -215,29 +209,13 @@ class CyclicBurnside(_Immutable):
         of every sigma^j there are its invariant multiset counts: one
         memoised counting pass per cycle type gives one row of marks, and
         one call of the mark kernel pulls all the rows back."""
-        _check_nonnegative("truncation", truncation)
+        _check_int("truncation", truncation, 0)
         divs = divisors(*self._coeffs)
         counts = [_cycle_counts(tuple(sorted(self._cycles(d).items())), truncation) for d in divs]
         return self._from_mark_rows(divs, counts)
 
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, int]) -> "CyclicBurnside":
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"expected a JSON object of orbit sizes, not {type(obj).__name__}")
-        coeffs: dict[int, int] = {}
-        for key, c in obj.items():
-            # to_json writes ASCII digits only; int() would also take
-            # "1_0", " 3", "+2" and non-ASCII digits
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise ValueError(f"orbit size key {key!r} is not a decimal number")
-            k = int(key)
-            if k in coeffs:
-                raise ValueError(f"orbit size {k} appears twice")
-            coeffs[k] = c
-        return cls(coeffs)
 
     def __str__(self) -> str:
         return _join([(c, f"{abs(c)}·[{k}]") for k, c in sorted(self._coeffs.items())])

@@ -36,7 +36,7 @@ from functools import cache
 from typing import Mapping
 
 from .combinatorics import (
-    Partition, _check_positive, _Immutable, _join, invariant_multiset_counts, partitions
+    Partition, _check_int, _Immutable, _join, invariant_multiset_counts, partitions
 )
 
 # Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
@@ -45,14 +45,15 @@ DEGREE_BOUND = 16
 
 
 def _check_degree(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= DEGREE_BOUND:
+    _check_int("n", n)
+    if not 1 <= n <= DEGREE_BOUND:
         raise ValueError(f"n={n!r} outside supported range 1..{DEGREE_BOUND}")
 
 
 def _check_partition(n: int, lam) -> Partition:
     lam = tuple(lam)
     for p in lam:
-        _check_positive("part", p)
+        _check_int("part", p, 1)
     if sum(lam) != n:
         raise ValueError(f"{lam!r} is not a partition of {n}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -137,16 +138,11 @@ class SchurElement(_Immutable):
         clean = {}
         for mu, c in basis.items():
             mu = _check_partition(n, mu)
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} must be an integer")
+            _check_int("coefficient", c)
             if c != 0:
                 clean[mu] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_basis", tuple(sorted(clean.items(), reverse=True)))
-
-    @classmethod
-    def from_basis(cls, n: int, basis: Mapping[Partition, int]) -> "SchurElement":
-        return cls(n, basis)
 
     @classmethod
     def from_marks(cls, n: int, marks: Mapping[Partition, int]) -> "SchurElement":

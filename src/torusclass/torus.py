@@ -49,23 +49,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .combinatorics import (
-    _check_nonnegative,
-    _check_positive,
-    _Immutable,
-    _join,
-    divisors,
-    is_prime_power,
-)
+from .combinatorics import _check_int, _Immutable, _join, divisors, is_prime_power
 from .cyclic import CyclicBurnside
 
 
 def _check_extension(q: int, e: int) -> None:
     if not is_prime_power(q):
         raise ValueError(f"q={q!r} is not a prime power, so no field has q elements")
-    _check_positive("e", e)
+    _check_int("e", e, 1)
 
 
 class AlgebraSpec(_Immutable):
@@ -76,10 +69,10 @@ class AlgebraSpec(_Immutable):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(sorted(parts, reverse=True))
-        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
-            raise ValueError("factor degrees must be positive integers")
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(parts)
+        for p in parts:
+            _check_int("factor degree", p, 1)
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     def __repr__(self) -> str:
         return f"AlgebraSpec(parts={self.parts!r})"
@@ -109,7 +102,7 @@ class TorusClass(_Immutable):
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[CyclicBurnside]):
-        _check_nonnegative("n", n)
+        _check_int("n", n, 0)
         coeffs = tuple(coeffs)
         if len(coeffs) != n + 1:
             raise ValueError("need exactly n + 1 coefficients")
@@ -120,19 +113,12 @@ class TorusClass(_Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def coefficient(self, power: int) -> CyclicBurnside:
-        """The coefficient of L^power."""
-        _check_nonnegative("power", power)
-        if power > self.n:
-            raise ValueError(f"power {power} out of range 0..{self.n}")
-        return self.coeffs[self.n - power]
-
     def __mul__(self, other: "TorusClass") -> "TorusClass":
         """Product of polynomials in L, by _product on the flattened terms."""
         if not isinstance(other, TorusClass):
             return NotImplemented
-        xs = [(i, k, c) for i, x in enumerate(self.coeffs) for k, c in x.terms()]
-        ys = [(j, k, c) for j, y in enumerate(other.coeffs) for k, c in y.terms()]
+        xs = [(i, k, c) for i, x in enumerate(self.coeffs) for k, c in x.coeffs.items()]
+        ys = [(j, k, c) for j, y in enumerate(other.coeffs) for k, c in y.coeffs.items()]
         return _from_terms(self.n + other.n, _product(xs, ys, self.n + other.n))
 
     def count_points(self, q: int, e: int) -> int:
@@ -159,26 +145,6 @@ class TorusClass(_Immutable):
             entries.append({"power": self.n - i, "artin": a.to_json()})
         return {"n": self.n, "coeffs": entries}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "TorusClass":
-        n = _json_field(obj, "n")
-        _check_nonnegative("n", n)
-        entries = _json_field(obj, "coeffs")
-        if not isinstance(entries, list):
-            raise ValueError(f"coeffs must be a JSON array, not {type(entries).__name__}")
-        coeffs = [CyclicBurnside.ZERO] * (n + 1)
-        seen: set[int] = set()
-        for entry in entries:
-            power = _json_field(entry, "power")
-            _check_nonnegative("power", power)
-            if power > n:
-                raise ValueError(f"power {power} out of range 0..{n}")
-            if power in seen:
-                raise ValueError(f"power {power} appears twice")
-            seen.add(power)
-            coeffs[n - power] = CyclicBurnside.from_json(_json_field(entry, "artin"))
-        return cls(n, coeffs)
-
     def text(self) -> str:
         return _render(self, _TEXT)
 
@@ -190,15 +156,6 @@ class TorusClass(_Immutable):
 
     def __repr__(self) -> str:
         return f"TorusClass(n={self.n}, {self.text()!r})"
-
-
-def _json_field(obj, key: str):
-    """obj[key] of a JSON object, or a ValueError naming what is missing."""
-    if not isinstance(obj, Mapping):
-        raise ValueError(f"expected a JSON object with key {key!r}, not {type(obj).__name__}")
-    if key not in obj:
-        raise ValueError(f"JSON object is missing key {key!r}")
-    return obj[key]
 
 
 class _Dialect(NamedTuple):
@@ -241,7 +198,7 @@ def _render(tc: TorusClass, dialect: _Dialect) -> str:
     pieces: list[tuple[int, str]] = []
     for i, a in enumerate(tc.coeffs):
         power = tc.n - i
-        terms = sorted(a.terms(), reverse=True)
+        terms = sorted(a.coeffs.items(), reverse=True)
         if power == 0 or len(terms) == 1:
             pieces += [(c, _term_body(abs(c), k, power, dialect)) for k, c in terms]
         elif terms:
@@ -401,7 +358,7 @@ def _stratum_types(t: int, a: int) -> list[list[tuple[int, int, int, int]]]:
         [0 if s * d % t else math.comb(a * d, s * d // t) for s in range(r + 1)] for d in divs
     ]
     return [
-        [(m, t // m, (r - s) * m // t, count) for m, count in orbits.terms()]
+        [(m, t // m, (r - s) * m // t, count) for m, count in orbits.coeffs.items()]
         for s, orbits in enumerate(CyclicBurnside._from_mark_rows(divs, rows))
     ]
 

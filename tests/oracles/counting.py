@@ -12,7 +12,7 @@ import math
 from functools import cache
 from typing import Sequence
 
-from torusclass.combinatorics import Partition, _check_positive
+from torusclass.combinatorics import Partition, _check_int
 
 Composition = tuple[int, ...]
 
@@ -107,9 +107,9 @@ def power_cycle_type(lam: Partition, e: int) -> Partition:
     A cycle of length c falls apart into gcd(c, e) cycles of length
     c / gcd(c, e).
     """
-    _check_positive("e", e)
+    _check_int("e", e, 1)
     for c in lam:
-        _check_positive("part", c)
+        _check_int("part", c, 1)
     out: list[int] = []
     for c in lam:
         g = math.gcd(c, e)

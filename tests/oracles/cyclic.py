@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from torusclass.combinatorics import _check_positive, divisors
+from torusclass.combinatorics import _check_int, divisors
 from torusclass.cyclic import CyclicBurnside
 
 
@@ -29,8 +29,8 @@ def from_marks(fix: Mapping[int, int]) -> CyclicBurnside:
 
 def induce(x: CyclicBurnside, d: int) -> CyclicBurnside:
     """Additive induction along the index-d subgroup: [k] -> [d k]."""
-    _check_positive("d", d)
-    return CyclicBurnside({d * k: c for k, c in x.terms()})
+    _check_int("d", d, 1)
+    return CyclicBurnside({d * k: c for k, c in x.coeffs.items()})
 
 
 def lambda_series(x: CyclicBurnside, truncation: int) -> list[CyclicBurnside]:

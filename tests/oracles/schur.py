@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from torusclass.combinatorics import _check_positive, divisors
+from torusclass.combinatorics import _check_int, divisors
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import MarkMatrix, SchurElement, _check_partition
 
@@ -23,12 +23,12 @@ class Ring(SchurElement):
 
     @classmethod
     def zero(cls, n: int) -> "Ring":
-        return cls.from_basis(n, {})
+        return cls(n, {})
 
     @classmethod
     def unit(cls, n: int) -> "Ring":
         """The one-point tuple set (the whole of {1..n} as a single block)."""
-        return cls.from_basis(n, {(n,): 1})
+        return cls(n, {(n,): 1})
 
     def _coerce(self, other) -> "Ring":
         if isinstance(other, SchurElement):
@@ -36,7 +36,7 @@ class Ring(SchurElement):
                 raise ValueError("degree mismatch")
             return Ring(other.n, other.basis)
         if isinstance(other, int) and not isinstance(other, bool):
-            return Ring.from_basis(self.n, {(self.n,): other})
+            return Ring(self.n, {(self.n,): other})
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -92,12 +92,12 @@ def tuple_set_class(n: int, alpha) -> Ring:
     alpha padded with n - sum(alpha) and sorted descending."""
     alpha = tuple(alpha)
     for p in alpha:
-        _check_positive("tuple size", p)
+        _check_int("tuple size", p, 1)
     weight = sum(alpha)
     if weight > n:
         raise ValueError(f"tuple sizes sum to {weight}, exceeding n={n}")
     padded = alpha if weight == n else alpha + (n - weight,)
-    return Ring.from_basis(n, {tuple(sorted(padded, reverse=True)): 1})
+    return Ring(n, {tuple(sorted(padded, reverse=True)): 1})
 
 
 def restrict(x: SchurElement, lam) -> CyclicBurnside:

@@ -86,7 +86,7 @@ def test_acceptance_3_universal_coefficients_are_signed_alternating_powers():
     for n in range(1, 8):
         for i in range(1, n + 1):
             sign = -1 if i % 2 else 1
-            signed = sign * Ring.from_basis(n, lambda_standard(n, i).basis)
+            signed = sign * Ring(n, lambda_standard(n, i).basis)
             ok = ok and torus_coefficient(n, i) == signed
     _report("universal coefficients equal signed alternating powers, n <= 7", ok)
 

@@ -27,7 +27,6 @@ from torusclass.torus import (
     ROUTES,
     AlgebraSpec,
     OutsideDomain,
-    TorusClass,
     class_via_lambda,
     norm_one_class,
 )
@@ -56,7 +55,7 @@ def test_class_json_matches_library(capsys):
     code, out, _ = _run(capsys, ["class", "--partition", "2,2", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert TorusClass.from_json(payload) == class_via_lambda(AlgebraSpec((2, 2)))
+    assert payload == class_via_lambda(AlgebraSpec((2, 2))).to_json()
     powers = [entry["power"] for entry in payload["coeffs"]]
     assert powers == sorted(powers, reverse=True)
 
@@ -224,7 +223,7 @@ def test_a_skipped_lambda_route_leaves_the_first_answer_as_reference(capsys, mon
         capsys, ["class", "--partition", "2,1", "--method", "all", "--format", "json"]
     )
     assert code == 0
-    assert TorusClass.from_json(json.loads(out)) == rho
+    assert json.loads(out) == rho.to_json()
     code, out, _ = _run(capsys, ["verify", "--partition", "2,1", "--qmax", "3", "--emax", "2"])
     assert code == 0
     lines = out.splitlines()
@@ -578,6 +577,13 @@ def test_a_partition_is_read_in_ascii_decimal_digits_only(capsys, text):
     # int() would read these as (10,), (3,), (3,) and (3, 2)
     assert _run(capsys, ["class", "--partition", text]) == (
         2, "", f"error: cannot parse partition {text!r}\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["2,0", "0", "00,3"])
+def test_a_zero_factor_degree_is_named_in_the_error(capsys, text):
+    assert _run(capsys, ["class", "--partition", text]) == (
+        2, "", "error: factor degree=0 is not an integer >= 1\n"
     )
 
 

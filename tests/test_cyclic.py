@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -437,27 +436,17 @@ def test_an_element_equal_to_an_int_hashes_like_it():
 def test_text_and_json_roundtrip():
     x = 2 * CyclicBurnside.orbit(2) - CyclicBurnside.orbit(12) + 1
     assert str(x) == "1·[1] + 2·[2] - 1·[12]"
-    assert CyclicBurnside.from_json(x.to_json()) == x
+    assert x.to_json() == {"1": 1, "2": 2, "12": -1}
+    assert CyclicBurnside({int(k): c for k, c in x.to_json().items()}) == x
     assert str(CyclicBurnside.ZERO) == "0"
 
 
-def test_from_json_refuses_a_repeated_orbit_size():
-    # "1" and "01" both name orbit size 1; the second must not overwrite
-    with pytest.raises(ValueError, match="orbit size 1 appears twice"):
-        CyclicBurnside.from_json({"1": 1, "01": 2})
-    assert CyclicBurnside.from_json({"01": 2, "2": -1}) == CyclicBurnside({1: 2, 2: -1})
-
-
-@pytest.mark.parametrize("key", ["1_0", " 3", "+2", "٣"])
-def test_from_json_reads_only_decimal_keys(key):
-    # int() reads all four, the last an Arabic-Indic digit three
-    with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not a decimal number")):
-        CyclicBurnside.from_json({key: 1})
-
-
 def test_invalid_coefficients_rejected():
-    with pytest.raises(ValueError):
+    # the error names the refused value
+    with pytest.raises(ValueError, match=r"^orbit size=0 is not an integer >= 1$"):
         CyclicBurnside({0: 1})
+    with pytest.raises(ValueError, match=r"^coefficient=1\.5 is not an integer$"):
+        CyclicBurnside({1: 1.5})
     with pytest.raises(ValueError):
         CyclicBurnside({-2: 1})
     with pytest.raises(ValueError):
@@ -465,3 +454,10 @@ def test_invalid_coefficients_rejected():
     with pytest.raises(ValueError):
         CyclicBurnside({2: True})
     assert CyclicBurnside.ONE != True  # noqa: E712
+
+
+def test_coeffs_is_a_read_only_view():
+    x = CyclicBurnside({2: 3})
+    with pytest.raises(TypeError):
+        x.coeffs[2] = 4
+    assert x.coeffs == {2: 3} and x == 3 * CyclicBurnside.orbit(2)
