@@ -8,7 +8,6 @@ algorithms, and cross-checked by point counting over extensions.
 from .combinatorics import Partition, partitions
 from .cyclic import CyclicBurnside
 from .schur import (
-    MarkMatrix,
     SchurElement,
     lambda_standard,
     mark_matrix,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraSpec",
     "CyclicBurnside",
-    "MarkMatrix",
     "Partition",
     "SchurElement",
     "TorusClass",

@@ -9,13 +9,14 @@ marks   the fixed-point matrix of the degree-n tuple sets
 verify  cross-check all computation routes and the point-count oracle
 
 Only `lambda`, `rho` and `marks` keep the Schur ring's degree bound:
-they take n up to schur.DEGREE_BOUND (16).  The routes of `class` and
-`verify` are those of torus.ROUTES, and each checks its own domain; rho's
-is a cost estimate of its dynamic program (torus.RHO_COST_BOUND).  A
-single-route `class` call outside it is a usage error.  With every route
-(`class --method all`, `verify`), a route outside its domain is skipped
-with the route's own reason, and at least two routes must answer and
-agree with the first route that answered.
+they take n up to schur.DEGREE_BOUND (16), and only `marks` builds the
+p(n)^2 table schur.mark_matrix, labelled by partitions(n).  The routes of
+`class` and `verify` are those of torus.ROUTES, and each checks its own
+domain; rho's is a cost estimate of its dynamic program
+(torus.RHO_COST_BOUND).  A single-route `class` call outside it is a
+usage error.  With every route (`class --method all`, `verify`), a route
+outside its domain is skipped with the route's own reason, and at least
+two routes must answer and agree with the first route that answered.
 
 Each command's flags are declared once, in COMMANDS.  `main` reads a call
 of exactly the form `<command> (--flag value)*` off that table, without
@@ -42,7 +43,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .combinatorics import is_prime_power
+from .combinatorics import is_prime_power, partitions
 from .schur import lambda_standard, mark_matrix, torus_coefficient
 from .torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, point_count_oracle
 
@@ -151,20 +152,21 @@ def cmd_rho(args) -> int:
 
 def cmd_marks(args) -> int:
     matrix = mark_matrix(args.n)
+    index = partitions(args.n)
     if args.format == "json":
         payload = {
-            "n": matrix.n,
-            "partitions": [_partition_key(p) for p in matrix.index],
-            "matrix": [list(row) for row in matrix.entries],
+            "n": args.n,
+            "partitions": [_partition_key(p) for p in index],
+            "matrix": [list(row) for row in matrix],
         }
         print(json.dumps(payload))
         return 0
-    names = [f"({_partition_key(p)})" for p in matrix.index]
+    names = [f"({_partition_key(p)})" for p in index]
     width = max(len(name) for name in names) + 1
-    cell = max(len(str(v)) for row in matrix.entries for v in row) + 2
-    print(f"fixed-point matrix n={matrix.n}, rows: block sizes, columns: cycle types")
+    cell = max(len(str(v)) for row in matrix for v in row) + 2
+    print(f"fixed-point matrix n={args.n}, rows: block sizes, columns: cycle types")
     print(" " * width + "".join(f"{name:>{max(cell, len(name) + 1)}}" for name in names))
-    for name, row in zip(names, matrix.entries):
+    for name, row in zip(names, matrix):
         print(
             f"{name:<{width}}"
             + "".join(f"{v:>{max(cell, len(names[j]) + 1)}}" for j, v in enumerate(row))

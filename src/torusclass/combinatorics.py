@@ -65,8 +65,7 @@ def partitions(n: int) -> list[Partition]:
     Lexicographic descending order: partitions(4) starts at (4,) and ends
     at (1, 1, 1, 1).
     """
-    if n < 0:
-        raise ValueError("partition total must be nonnegative")
+    _check_int("n", n, 0)
     return list(_partitions(n, n))
 
 

@@ -16,16 +16,18 @@ cycle type at a time: the mark of ``[P_mu]`` at cycle type lam counts the
 ways to fill the blocks of mu with the cycles of lam.
 
 An element given by its marks, such as an alternating power of the
-standard set, is pulled back to basis coordinates against the mark
-matrix, which is triangular: the mark of ``[P_mu]`` at lam is zero unless
-lam refines mu, and the diagonal has no zero, which certifies that the
-spanning classes are linearly independent.  The solve is forward
-substitution on integers; a remainder means the marks cannot come from a
-real element of the subring and raises ArithmeticError.
+standard set, is pulled back to basis coordinates by forward substitution
+over partitions(n): the mark of ``[P_mu]`` at lam is zero unless lam
+refines mu, which puts mu no later than lam, and the mark of ``[P_lam]``
+at lam is never zero, as each cycle of lam can fill its own block.  Each
+step reads the marks of the nonzero coefficients found so far, and a
+remainder means the marks cannot come from a real element of the subring
+and raises ArithmeticError.  Only the marks command builds the whole
+table of p(n)^2 marks (mark_matrix).
 
-SchurElement and MarkMatrix each have one constructor, which checks its
-input.  The module backs the lambda, rho and marks commands; the
-unit-torus routes compute in their own algebras and do not use it.
+SchurElement has one constructor, which checks its input.  The module
+backs the lambda, rho and marks commands; the unit-torus routes compute in
+their own algebras and do not use it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .combinatorics import (
     Partition, _check_int, _Immutable, _join, invariant_multiset_counts, partitions
 )
 
-# Building the mark matrix takes p(n)^2 fixed-point counts, so n is capped
+# The marks command's table takes p(n)^2 fixed-point counts, so n is capped
 # to keep table sizes sane.
 DEGREE_BOUND = 16
 
@@ -84,47 +86,14 @@ def _assignments(cycles: tuple[int, ...], caps: tuple[int, ...]) -> int:
     return total
 
 
-class MarkMatrix(_Immutable):
-    """Fixed-point counts of the tuple sets, rows by block partition mu and
-    columns by cycle type lam, both in lex-descending order.  An entry is
-    zero unless lam refines mu, so the matrix is upper triangular."""
-
-    __slots__ = ("n", "index", "entries")
-
-    def __init__(self, n: int):
-        _check_degree(n)
-        index = tuple(partitions(n))
-        entries = tuple(tuple(_assignments(lam, mu) for lam in index) for mu in index)
-        if any(entries[i][i] == 0 for i in range(len(index))):
-            raise ArithmeticError("mark matrix is singular; tuple classes are not independent")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "entries", entries)
-
-    def basis_from_marks(self, marks: Mapping[Partition, int]) -> dict[Partition, int]:
-        """Solve marks[lam] = sum_mu coeff[mu] * entries[mu][lam] by forward
-        substitution: the equation at the j-th cycle type involves only the
-        first j + 1 coefficients, so it yields the j-th.  Zeros are kept;
-        the SchurElement built from the result drops them."""
-        coeffs = []
-        for j, p in enumerate(self.index):
-            rest = marks[p] - sum(c * self.entries[i][j] for i, c in enumerate(coeffs) if c)
-            c, remainder = divmod(rest, self.entries[j][j])
-            if remainder:
-                raise ArithmeticError(
-                    f"mark vector does not lie on the tuple-class lattice "
-                    f"(coefficient of {p} is {rest}/{self.entries[j][j]})"
-                )
-            coeffs.append(c)
-        return dict(zip(self.index, coeffs))
-
-    def __repr__(self) -> str:
-        return f"MarkMatrix(n={self.n})"
-
-
 @cache
-def mark_matrix(n: int) -> MarkMatrix:
-    return MarkMatrix(n)
+def mark_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The marks of the tuple sets: one row per block partition mu, one
+    column per cycle type lam, both in the order of partitions(n).  An
+    entry is zero unless lam refines mu, so the table is upper triangular."""
+    _check_degree(n)
+    index = partitions(n)
+    return tuple(tuple(_assignments(lam, mu) for lam in index) for mu in index)
 
 
 class SchurElement(_Immutable):
@@ -146,11 +115,30 @@ class SchurElement(_Immutable):
 
     @classmethod
     def from_marks(cls, n: int, marks: Mapping[Partition, int]) -> "SchurElement":
-        matrix = mark_matrix(n)
-        for lam in matrix.index:
+        """The element with the given mark at every cycle type of n: at the
+        j-th cycle type lam, the mark involves the first j coefficients and
+        lam's own times _assignments(lam, lam), so it yields lam's."""
+        _check_degree(n)
+        index = partitions(n)
+        for lam in index:
             if lam not in marks:
                 raise ValueError(f"mark vector is missing cycle type {lam}")
-        return cls(n, matrix.basis_from_marks(marks))
+        if len(marks) != len(index):
+            stray = next(key for key in marks if key not in index)
+            raise ValueError(f"mark vector has key {stray!r}, not a cycle type of {n}")
+        basis: dict[Partition, int] = {}
+        for lam in index:
+            rest = marks[lam] - sum(c * _assignments(lam, mu) for mu, c in basis.items())
+            own = _assignments(lam, lam)
+            c, remainder = divmod(rest, own)
+            if remainder:
+                raise ArithmeticError(
+                    f"mark vector does not lie on the tuple-class lattice "
+                    f"(coefficient of {lam} is {rest}/{own})"
+                )
+            if c:
+                basis[lam] = c
+        return cls(n, basis)
 
     @property
     def basis(self) -> dict[Partition, int]:
@@ -199,6 +187,7 @@ def torus_coefficient(n: int, i: int) -> SchurElement:
     L^(n-i) in the class of the unit torus.
     """
     _check_degree(n)
+    _check_int("i", i)
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     basis: dict[Partition, int] = {}
@@ -221,6 +210,7 @@ def lambda_standard(n: int, i: int) -> SchurElement:
     whose integrality is asserted.
     """
     _check_degree(n)
+    _check_int("i", i)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     sign = -1 if i % 2 else 1

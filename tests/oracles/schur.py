@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from torusclass.combinatorics import _check_int, divisors
+from torusclass.combinatorics import _check_int, divisors, partitions
 from torusclass.cyclic import CyclicBurnside
-from torusclass.schur import MarkMatrix, SchurElement, _check_partition
+from torusclass.schur import SchurElement, _check_partition, mark_matrix
 
 from .counting import power_cycle_type
 from .cyclic import from_mark_list
@@ -80,9 +80,11 @@ class Ring(SchurElement):
     __rmul__ = __mul__
 
 
-def entry(matrix: MarkMatrix, mu, lam) -> int:
-    """The mark of the tuple set with blocks mu at cycle type lam."""
-    return matrix.entries[matrix.index.index(mu)][matrix.index.index(lam)]
+def entry(n: int, mu, lam) -> int:
+    """The mark of the tuple set with blocks mu at cycle type lam, read off
+    the rows of mark_matrix(n)."""
+    index = partitions(n)
+    return mark_matrix(n)[index.index(mu)][index.index(lam)]
 
 
 def tuple_set_class(n: int, alpha) -> Ring:

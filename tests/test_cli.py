@@ -713,7 +713,6 @@ def test_verify_prints_a_grid_at_the_bound(capsys, monkeypatch):
 SHIPPED = {
     "AlgebraSpec",
     "CyclicBurnside",
-    "MarkMatrix",
     "Partition",
     "SchurElement",
     "TorusClass",
@@ -734,7 +733,7 @@ SHIPPED = {
 def test_package_ships_only_the_routes():
     # the routes, their rings and oracles, and the CLI; the brute-force
     # g-set engine and the test-only helpers live under tests/oracles
-    assert len(torusclass.__all__) == len(SHIPPED) == 17
+    assert len(torusclass.__all__) == len(SHIPPED) == 16
     assert set(torusclass.__all__) == SHIPPED
     for name in torusclass.__all__:
         assert getattr(torusclass, name) is not None, name

@@ -64,6 +64,10 @@ def test_partitions_examples():
     assert partitions(0) == [()]
     assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(partitions(10)) == 42
+    # the total is a nonnegative int: a bool or a float is refused and named
+    for bad in (-1, True, False, 2.0):
+        with pytest.raises(ValueError, match=f"n={bad!r} "):
+            partitions(bad)
 
 
 def test_partitions_are_deduplicated_sorted_compositions():

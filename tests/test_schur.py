@@ -1,12 +1,13 @@
 """Tuple-class subring: mark matrix, universal coefficients, restriction."""
 
 import random
+import re
 from collections import Counter
 from functools import cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles.counting import compositions, lambda_from_sigma, multinomial
@@ -19,11 +20,12 @@ from oracles.gsets import (
 )
 from oracles.schur import Ring, entry, restrict, tuple_set_class
 from torusclass.combinatorics import partitions
+from torusclass import schur
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import (
     DEGREE_BOUND,
-    MarkMatrix,
     SchurElement,
+    _assignments,
     lambda_standard,
     mark_matrix,
     torus_coefficient,
@@ -39,26 +41,24 @@ def _brute_force_mark(n, mu, lam):
 
 
 def test_mark_matrix_small_entries():
-    m = mark_matrix(2)
-    assert entry(m, (2,), (2,)) == 1
-    assert entry(m, (1, 1), (2,)) == 0
-    assert entry(m, (1, 1), (1, 1)) == 2
-    assert entry(mark_matrix(4), (2, 2), (2, 2)) == 2
+    assert mark_matrix(2) == ((1, 1), (0, 2))
+    assert entry(2, (2,), (2,)) == 1
+    assert entry(2, (1, 1), (2,)) == 0
+    assert entry(2, (1, 1), (1, 1)) == 2
+    assert entry(4, (2, 2), (2, 2)) == 2
 
 
 def test_mark_matrix_identity_column_is_multinomial():
     for n in range(1, 7):
-        m = mark_matrix(n)
-        for mu in m.index:
-            assert entry(m, mu, (1,) * n) == multinomial(n, mu)
+        for mu in partitions(n):
+            assert entry(n, mu, (1,) * n) == multinomial(n, mu)
 
 
 def test_mark_matrix_matches_brute_force():
     for n in range(1, 6):
-        m = mark_matrix(n)
-        for mu in m.index:
-            for lam in m.index:
-                assert entry(m, mu, lam) == _brute_force_mark(n, mu, lam)
+        for mu in partitions(n):
+            for lam in partitions(n):
+                assert entry(n, mu, lam) == _brute_force_mark(n, mu, lam)
 
 
 def test_mark_matrix_bounds():
@@ -72,7 +72,6 @@ def test_mark_matrix_bounds():
     "build",
     [
         mark_matrix,
-        MarkMatrix,
         Ring.zero,
         Ring.unit,
         lambda n: SchurElement(n, {}),
@@ -89,6 +88,16 @@ def test_degree_checked_at_every_entry_point(build):
     for n in (True, False, 0, -1, DEGREE_BOUND + 1, 2.0):
         with pytest.raises(ValueError):
             build(n)
+
+
+@pytest.mark.parametrize("build", [torus_coefficient, lambda_standard])
+def test_weight_checked_at_every_entry_point(build):
+    # a bool or a float weight is refused and named, not read as 1 or 0 or
+    # left to fail inside the computation
+    build(3, 1)
+    for i in (True, False, 1.0, 2.0, -1, 4):
+        with pytest.raises(ValueError, match=re.escape(f"i={i!r}")):
+            build(3, i)
 
 
 @cache
@@ -108,12 +117,13 @@ def test_mark_matrix_is_triangular_with_nonzero_diagonal():
     # lex order, so the lex-descending index makes the matrix triangular
     for n in range(1, 13):
         m = mark_matrix(n)
-        for i, mu in enumerate(m.index):
-            assert m.entries[i][i] != 0
-            for j, lam in enumerate(m.index):
-                assert (m.entries[i][j] != 0) == (mu in _coarsenings(lam)), (mu, lam)
+        index = partitions(n)
+        for i, mu in enumerate(index):
+            assert m[i][i] != 0
+            for j, lam in enumerate(index):
+                assert (m[i][j] != 0) == (mu in _coarsenings(lam)), (mu, lam)
                 if i > j:
-                    assert m.entries[i][j] == 0
+                    assert m[i][j] == 0
 
 
 def test_tuple_set_class_padding_and_sorting():
@@ -208,12 +218,33 @@ elements = st.integers(1, DEGREE_BOUND).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(elements)
 def test_derived_marks_are_mark_matrix_row_sums(x):
-    m = mark_matrix(x.n)
     marks = x.marks
-    assert list(marks) == list(m.index)
-    for lam in m.index:
-        assert marks[lam] == sum(c * entry(m, mu, lam) for mu, c in x.basis.items())
+    assert list(marks) == partitions(x.n)
+    for lam in partitions(x.n):
+        assert marks[lam] == sum(c * entry(x.n, mu, lam) for mu, c in x.basis.items())
     assert SchurElement.from_marks(x.n, marks) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, st.data())
+def test_pull_back_fails_first_at_a_mark_off_the_lattice(x, data):
+    # adding 1 to the mark at lam leaves the equations before lam alone, and
+    # the one at lam is off by 1 from a multiple of _assignments(lam, lam) > 1
+    candidates = [lam for lam in partitions(x.n) if _assignments(lam, lam) > 1]
+    assume(candidates)
+    lam = data.draw(st.sampled_from(candidates))
+    marks = x.marks
+    marks[lam] += 1
+    with pytest.raises(ArithmeticError, match=re.escape(f"coefficient of {lam} is")):
+        SchurElement.from_marks(x.n, marks)
+
+
+def test_pull_back_builds_no_mark_table():
+    # only the marks command builds the p(n)^2 table; the pull-back reads
+    # the memoised counts it needs
+    schur.mark_matrix.cache_clear()
+    lambda_standard(DEGREE_BOUND, DEGREE_BOUND // 2)
+    assert schur.mark_matrix.cache_info().currsize == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,6 +266,16 @@ def test_basis_key_order_is_immaterial(data):
 def test_from_marks_requires_all_cycle_types():
     with pytest.raises(ValueError):
         SchurElement.from_marks(2, {(1, 1): 2})
+
+
+def test_from_marks_rejects_stray_keys():
+    x = torus_coefficient(3, 2)
+    assert SchurElement.from_marks(3, x.marks) == x
+    for stray in ((9,), "junk", (2, 2), (1, 2)):
+        with pytest.raises(ValueError, match=re.escape(repr(stray))):
+            SchurElement.from_marks(3, {**x.marks, stray: 5})
+    with pytest.raises(ValueError, match=re.escape("(9,)")):
+        SchurElement.from_marks(3, {**x.marks, (9,): 5, "junk": 1})
 
 
 def test_universal_coefficient_is_the_sum_over_compositions():

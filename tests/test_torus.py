@@ -28,7 +28,7 @@ from oracles.schur import restrict, tuple_set_class
 from torusclass import cli, combinatorics, cyclic, schur, torus
 from torusclass.combinatorics import divisors, partitions
 from torusclass.cyclic import CyclicBurnside
-from torusclass.schur import mark_matrix, torus_coefficient
+from torusclass.schur import torus_coefficient
 from torusclass.torus import (
     AlgebraSpec,
     OutsideDomain,
@@ -297,10 +297,9 @@ each_value_class = pytest.mark.parametrize(
         CyclicBurnside({1: 1, 2: -1}),
         BENCHMARKS[(2, 2)],
         torus_coefficient(3, 1),
-        mark_matrix(3),
         AlgebraSpec((2, 1)),
     ],
-    ids=["CyclicBurnside", "TorusClass", "SchurElement", "MarkMatrix", "AlgebraSpec"],
+    ids=["CyclicBurnside", "TorusClass", "SchurElement", "AlgebraSpec"],
 )
 
 
@@ -342,7 +341,7 @@ def test_values_equal_only_values_of_their_class(value):
     # neither the plain tuple of the slot values nor another class's value
     slots = tuple(getattr(value, name) for name in type(value).__slots__)
     assert value != slots and slots != value
-    other = AlgebraSpec((2, 1)) if not isinstance(value, AlgebraSpec) else mark_matrix(3)
+    other = AlgebraSpec((2, 1)) if not isinstance(value, AlgebraSpec) else torus_coefficient(3, 1)
     assert value != other and other != value
 
 
@@ -352,7 +351,6 @@ def test_slotted_values_have_no_instance_dict():
         CyclicBurnside.ONE,
         BENCHMARKS[(2, 2)],
         torus_coefficient(3, 1),
-        mark_matrix(3),
         AlgebraSpec((2, 1)),
     )
     for value in values:
