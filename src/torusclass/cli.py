@@ -15,8 +15,8 @@ p(n)^2 table schur.mark_matrix, labelled by partitions(n).  The routes of
 domain; rho's is a cost estimate of its dynamic program
 (torus.RHO_COST_BOUND).  A single-route `class` call outside it is a
 usage error.  With every route (`class --method all`, `verify`), a route
-outside its domain is skipped with the route's own reason, and at least
-two routes must answer and agree with the first route that answered.
+outside its domain is skipped with the route's own reason; at least two
+must answer, and _all_routes alone compares each answer with the first.
 
 Each command's flags are declared once, in COMMANDS.  `main` reads a call
 of exactly the form `<command> (--flag value)*` off that table, without
@@ -31,8 +31,8 @@ The `--method` choices are the route names in torus.ROUTES and "all".
 An int flag takes ASCII decimal digits after an optional "-", and nothing
 else that int() would read.
 
-Exit status: 0 on success, 1 when a verification check fails, 2 on usage
-errors (bad flags, unparsable partitions, bounds exceeded).
+Exit status: 0 on success, 1 when routes disagree or a verification check
+fails, 2 on usage errors (bad flags, unparsable partitions, bounds exceeded).
 """
 
 from __future__ import annotations
@@ -72,11 +72,13 @@ def _partition_key(lam) -> str:
     return ",".join(map(str, lam))
 
 
-def _all_routes(spec: AlgebraSpec) -> tuple[dict[str, TorusClass | OutsideDomain], str]:
-    """Every route's class of spec, or the OutsideDomain it raised when
-    spec is outside its domain, and the name of the first route that
-    answered, whose class the others are checked against.  At least two
-    routes must answer."""
+def _all_routes(
+    spec: AlgebraSpec,
+) -> tuple[dict[str, TorusClass | OutsideDomain], str, list[str]]:
+    """Every route's class of spec, or the OutsideDomain it raised outside
+    its domain; the first route that answered; and, in ROUTES order, the
+    routes whose class differs from its class.  Both `class --method all`
+    and `verify` print this one verdict.  At least two routes must answer."""
     results: dict[str, TorusClass | OutsideDomain] = {}
     for name, route in ROUTES.items():
         try:
@@ -86,7 +88,8 @@ def _all_routes(spec: AlgebraSpec) -> tuple[dict[str, TorusClass | OutsideDomain
     answered = [name for name, tc in results.items() if isinstance(tc, TorusClass)]
     if len(answered) < 2:
         raise ValueError(f"fewer than two routes can answer for partition ({spec})")
-    return results, answered[0]
+    first = answered[0]
+    return results, first, [name for name in answered if results[name] != results[first]]
 
 
 def cmd_class(args) -> int:
@@ -95,22 +98,26 @@ def cmd_class(args) -> int:
         tc = ROUTES[args.method](spec)
         _print_rendered(_render_class(tc, args.format))
         return 0
-    results, first = _all_routes(spec)
-    reference = results[first]
-    agree = all(isinstance(tc, OutsideDomain) or tc == reference for tc in results.values())
+    results, first, disagree = _all_routes(spec)
     if args.format == "text":
         for name, tc in results.items():
             if isinstance(tc, OutsideDomain):
                 print(f"{name}: skipped ({tc})")
             else:
                 print(f"{name + ':':<11}{tc.text()}")
-        print("AGREE" if agree else "DISAGREE")
+        print("DISAGREE" if disagree else "AGREE")
     else:
-        _print_rendered(_render_class(reference, args.format))
-    if not agree:
+        _print_rendered(_render_class(results[first], args.format))
+    if disagree:
         print("error: computation methods disagree", file=sys.stderr)
         return 1
     return 0
+
+
+def _print_marks(element) -> None:
+    print("marks by cycle type:")
+    for lam, value in element.marks.items():
+        print(f"  ({_partition_key(lam)}): {value}")
 
 
 def cmd_lambda(args) -> int:
@@ -127,9 +134,7 @@ def cmd_lambda(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"lambda^{args.i} of the standard {args.n}-point set: {element}")
-        print("marks by cycle type:")
-        for lam, value in element.marks.items():
-            print(f"  ({_partition_key(lam)}): {value}")
+        _print_marks(element)
         if matches is not None:
             print(f"matches (-1)^i * rho: {'yes' if matches else 'NO'}")
     if matches is False:
@@ -144,9 +149,7 @@ def cmd_rho(args) -> int:
         return 0
     print(f"rho(n={args.n}, i={args.i}) = {element}")
     print(f"identity mark: {element.cardinality}")
-    print("marks by cycle type:")
-    for lam, value in element.marks.items():
-        print(f"  ({_partition_key(lam)}): {value}")
+    _print_marks(element)
     return 0
 
 
@@ -164,13 +167,11 @@ def cmd_marks(args) -> int:
     names = [f"({_partition_key(p)})" for p in index]
     width = max(len(name) for name in names) + 1
     cell = max(len(str(v)) for row in matrix for v in row) + 2
+    columns = [max(cell, len(name) + 1) for name in names]
     print(f"fixed-point matrix n={args.n}, rows: block sizes, columns: cycle types")
-    print(" " * width + "".join(f"{name:>{max(cell, len(name) + 1)}}" for name in names))
+    print(" " * width + "".join(f"{name:>{c}}" for name, c in zip(names, columns)))
     for name, row in zip(names, matrix):
-        print(
-            f"{name:<{width}}"
-            + "".join(f"{v:>{max(cell, len(names[j]) + 1)}}" for j, v in enumerate(row))
-        )
+        print(f"{name:<{width}}" + "".join(f"{v:>{c}}" for v, c in zip(row, columns)))
     return 0
 
 
@@ -180,24 +181,25 @@ def cmd_marks(args) -> int:
 GRID_BOUND = 10**5
 
 
-def _check_grid_size(qmax: int, emax: int) -> None:
-    """Refuse, before any route runs, a grid of more than GRID_BOUND points."""
-    points = (qmax - 1) * emax
-    if points > GRID_BOUND:
-        raise ValueError(
-            f"--qmax {qmax} --emax {emax}: the grid has (qmax - 1) * emax = {points:,} "
-            f"points, more than {GRID_BOUND:,}"
-        )
-
-
-def _check_grid_prints(spec: AlgebraSpec, qmax: int, emax: int) -> None:
-    """Refuse, before any route runs, a grid whose largest point count has
+def _check_grid(spec: AlgebraSpec, qmax: int, emax: int) -> None:
+    """Refuse, before any route runs, a grid verify cannot check: qmax < 2,
+    emax < 1, more than GRID_BOUND points, or a largest point count with
     more digits than int to str conversion allows (a limit of 0 is none).
     Counts grow with q and e, so the largest is the oracle's at the largest
     field size q <= qmax and at emax: the product over the parts n_j of
     (q^m_j - 1)^g_j, g_j = gcd(n_j, emax), where the m_j g_j sum to n emax.
     As q^m - 1 >= q^m / 2, it is at least q^(n emax) / 2^(sum of the g_j),
     which refuses a grid far past the limit without computing the count."""
+    if qmax < 2:
+        raise ValueError("--qmax must be at least 2")
+    if emax < 1:
+        raise ValueError("--emax must be at least 1")
+    points = (qmax - 1) * emax
+    if points > GRID_BOUND:
+        raise ValueError(
+            f"--qmax {qmax} --emax {emax}: the grid has (qmax - 1) * emax = {points:,} "
+            f"points, more than {GRID_BOUND:,}"
+        )
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     q = next(q for q in range(qmax, 1, -1) if is_prime_power(q))
     halvings = sum(math.gcd(nj, emax) for nj in spec.parts)
@@ -213,21 +215,15 @@ def _check_grid_prints(spec: AlgebraSpec, qmax: int, emax: int) -> None:
 
 def cmd_verify(args) -> int:
     spec = AlgebraSpec.parse(args.partition)
-    if args.qmax < 2:
-        raise ValueError("--qmax must be at least 2")
-    if args.emax < 1:
-        raise ValueError("--emax must be at least 1")
-    _check_grid_size(args.qmax, args.emax)
-    _check_grid_prints(spec, args.qmax, args.emax)
-    results, first = _all_routes(spec)
+    _check_grid(spec, args.qmax, args.emax)
+    results, first, disagree = _all_routes(spec)
     reference = results[first]
-    failures = 0
     for name, tc in results.items():
         if isinstance(tc, OutsideDomain):
             print(f"{name}: skipped ({tc})")
-        elif tc != reference:
+        elif name in disagree:
             print(f"method {name} disagrees with {first}: {tc.text()} vs {reference.text()}")
-            failures += 1
+    failures = len(disagree)
     if not failures:
         print(f"methods agree on partition ({spec}): {reference.text()}")
     # only prime powers are sizes of finite fields

@@ -252,9 +252,10 @@ def _moebius_steps(divs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 def _cycle_counts(shape: tuple[tuple[int, int], ...], truncation: int) -> tuple[int, ...]:
     """invariant_multiset_counts of the cycles given by shape, sorted
     (length, signed multiplicity) pairs, as a tuple that no caller can
-    write.  The cycle types of the powers of Frobenius recur across
-    elements, such as the inputs of a table and the lambda and norm-one
-    classes of one input, so sigma_series reads its rows here."""
+    write.  The cycle types of the powers of Frobenius recur across the
+    inputs of a table, so sigma_series reads its rows here; the lambda and
+    norm-one classes of one input share none (norm-one's element has one
+    more fixed point, and its truncation is one less), only Moebius steps."""
     return tuple(invariant_multiset_counts(dict(shape), truncation))
 
 

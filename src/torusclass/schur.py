@@ -126,6 +126,8 @@ class SchurElement(_Immutable):
         if len(marks) != len(index):
             stray = next(key for key in marks if key not in index)
             raise ValueError(f"mark vector has key {stray!r}, not a cycle type of {n}")
+        for lam in index:
+            _check_int(f"mark at {lam}", marks[lam])
         basis: dict[Partition, int] = {}
         for lam in index:
             rest = marks[lam] - sum(c * _assignments(lam, mu) for mu, c in basis.items())

@@ -21,12 +21,14 @@ import torusclass
 from torusclass import cli
 from torusclass.cli import main
 from torusclass.combinatorics import partitions
+from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import (
     RHO_COST_BOUND,
     ROUTES,
     AlgebraSpec,
     OutsideDomain,
+    TorusClass,
     class_via_lambda,
     norm_one_class,
 )
@@ -102,6 +104,19 @@ def test_output_is_pinned(capsys):
             digest.update(f"{key} {fmt} {code}\n{out}".encode())
         digest.update(json.dumps(norm_one_class(AlgebraSpec(parts)).to_json()).encode() + b"\n")
     assert digest.hexdigest() == "93a411baab1ecb5c3c56c2d66056b6a88fb7514def7bd9a9c65f9fe84e394012"
+
+
+def test_verify_output_is_pinned(capsys):
+    # one SHA-256 over verify's output on all 44 partitions of n <= 7, at
+    # q = 2, 3, 4 and e = 1, 2: the route comparison and every grid line
+    digest = hashlib.sha256()
+    specs = [p for n in range(1, 8) for p in partitions(n)]
+    assert len(specs) == 44
+    for parts in specs:
+        key = ",".join(map(str, parts))
+        code, out, _ = _run(capsys, ["verify", "--partition", key, "--qmax", "4", "--emax", "2"])
+        digest.update(f"{key} {code}\n{out}".encode())
+    assert digest.hexdigest() == "884dfacb998ecc68152fa1f3e648fb85be945095b4ee68811fc9124fe4b24dd2"
 
 
 def test_schur_command_output_is_pinned(capsys):
@@ -231,6 +246,42 @@ def test_a_skipped_lambda_route_leaves_the_first_answer_as_reference(capsys, mon
     assert lines[1] == f"methods agree on partition (2,1): {rho.text()}"
     assert "MISMATCH" not in out
     assert lines[-1] == "PASS"
+
+
+def test_a_disagreeing_route_fails_class_and_verify(capsys, monkeypatch):
+    # rho answers with [2] added to its constant coefficient: a wrong class
+    # that no point count at e = 1 can tell, as [2] has no points over F_q
+    rho = ROUTES["rho"]
+
+    def wrong(spec):
+        tc = rho(spec)
+        return TorusClass(tc.n, (*tc.coeffs[:-1], tc.coeffs[-1] + CyclicBurnside.orbit(2)))
+
+    monkeypatch.setitem(ROUTES, "rho", wrong)
+    right = class_via_lambda(AlgebraSpec((2, 1)))
+    bad = wrong(AlgebraSpec((2, 1)))
+    assert right.text().endswith("·L - [Spec F_q^2] + 1") and bad.text().endswith("·L + 1")
+    code, out, err = _run(capsys, ["class", "--partition", "2,1", "--method", "all"])
+    assert (code, err) == (1, "error: computation methods disagree\n")
+    assert out.splitlines() == [
+        f"lambda:    {right.text()}",
+        f"rho:       {bad.text()}",
+        f"recursion: {right.text()}",
+        "DISAGREE",
+    ]
+    code, out, err = _run(
+        capsys, ["class", "--partition", "2,1", "--method", "all", "--format", "json"]
+    )
+    assert (code, err) == (1, "error: computation methods disagree\n")
+    assert json.loads(out) == right.to_json()
+    code, out, err = _run(capsys, ["verify", "--partition", "2,1", "--qmax", "3", "--emax", "1"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"method rho disagrees with lambda: {bad.text()} vs {right.text()}",
+        "q=2 e=1 count=3 oracle=3 ok",
+        "q=3 e=1 count=16 oracle=16 ok",
+        "FAIL (1 checks failed)",
+    ]
 
 
 def test_a_route_fault_is_not_a_skip(capsys, monkeypatch):

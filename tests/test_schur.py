@@ -278,6 +278,19 @@ def test_from_marks_rejects_stray_keys():
         SchurElement.from_marks(3, {**x.marks, (9,): 5, "junk": 1})
 
 
+@pytest.mark.parametrize("mark", [True, 1.0, "1"], ids=repr)
+def test_from_marks_checks_each_mark(mark):
+    # a bool is not read as 1, and a float or a str is named as the mark at
+    # its cycle type, not as a coefficient or left to fail in the arithmetic
+    with pytest.raises(ValueError, match=re.escape(f"mark at (2,)={mark!r} is not an integer")):
+        SchurElement.from_marks(2, {(2,): mark, (1, 1): 1})
+    # a missing cycle type and a stray key are still named first
+    with pytest.raises(ValueError, match=re.escape("missing cycle type (1, 1)")):
+        SchurElement.from_marks(2, {(2,): mark})
+    with pytest.raises(ValueError, match=re.escape("key (9,)")):
+        SchurElement.from_marks(2, {(2,): mark, (1, 1): 1, (9,): 1})
+
+
 def test_universal_coefficient_is_the_sum_over_compositions():
     # the defining sum: one tuple-set class per composition of i, signed by
     # its length
