@@ -43,7 +43,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .combinatorics import is_prime_power, partitions
+from .combinatorics import _partition_text, is_prime_power, partitions
 from .schur import lambda_standard, mark_matrix, torus_coefficient
 from .torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, point_count_oracle
 
@@ -66,10 +66,6 @@ def _print_rendered(text: str) -> None:
     for start in range(0, len(text), step):
         sys.stdout.write(text[start:start + step])
     sys.stdout.write("\n")
-
-
-def _partition_key(lam) -> str:
-    return ",".join(map(str, lam))
 
 
 def _all_routes(
@@ -117,7 +113,7 @@ def cmd_class(args) -> int:
 def _print_marks(element) -> None:
     print("marks by cycle type:")
     for lam, value in element.marks.items():
-        print(f"  ({_partition_key(lam)}): {value}")
+        print(f"  ({_partition_text(lam)}): {value}")
 
 
 def cmd_lambda(args) -> int:
@@ -159,12 +155,12 @@ def cmd_marks(args) -> int:
     if args.format == "json":
         payload = {
             "n": args.n,
-            "partitions": [_partition_key(p) for p in index],
+            "partitions": [_partition_text(p) for p in index],
             "matrix": [list(row) for row in matrix],
         }
         print(json.dumps(payload))
         return 0
-    names = [f"({_partition_key(p)})" for p in index]
+    names = [f"({_partition_text(p)})" for p in index]
     width = max(len(name) for name in names) + 1
     cell = max(len(str(v)) for row in matrix for v in row) + 2
     columns = [max(cell, len(name) + 1) for name in names]

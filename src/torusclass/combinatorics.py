@@ -1,6 +1,6 @@
-"""Partitions, divisors and prime powers, invariant multiset counts, the
-signed-sum printer, and the integer check and immutable base that the
-value classes share.
+"""Partitions and their spelling, divisors and prime powers, invariant
+multiset counts, the signed-sum printer, and the integer check and
+immutable base that the value classes share.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -132,6 +132,11 @@ def invariant_multiset_counts(cycles: Mapping[int, int], truncation: int) -> lis
                 for k in range(truncation, length - 1, -1):
                     counts[k] -= counts[k - length]
     return counts
+
+
+def _partition_text(parts: Partition) -> str:
+    """A partition as every output writes it, and AlgebraSpec.parse reads it: "4,2,1"."""
+    return ",".join(map(str, parts))
 
 
 def _join(pieces: list[tuple[int, str]]) -> str:

@@ -38,7 +38,7 @@ from functools import cache
 from typing import Mapping
 
 from .combinatorics import (
-    Partition, _check_int, _Immutable, _join, invariant_multiset_counts, partitions
+    Partition, _check_int, _Immutable, _join, _partition_text, invariant_multiset_counts, partitions
 )
 
 # The marks command's table takes p(n)^2 fixed-point counts, so n is capped
@@ -166,12 +166,12 @@ class SchurElement(_Immutable):
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "basis": {",".join(map(str, mu)): c for mu, c in self._basis},
-            "marks": {",".join(map(str, lam)): v for lam, v in self.marks.items()},
+            "basis": {_partition_text(mu): c for mu, c in self._basis},
+            "marks": {_partition_text(lam): v for lam, v in self.marks.items()},
         }
 
     def __str__(self) -> str:
-        return _join([(c, f"{abs(c)}·[P_({','.join(map(str, mu))})]") for mu, c in self._basis])
+        return _join([(c, f"{abs(c)}·[P_({_partition_text(mu)})]") for mu, c in self._basis])
 
     def __repr__(self) -> str:
         return f"SchurElement(n={self.n}, basis={self.basis!r})"

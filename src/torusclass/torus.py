@@ -36,8 +36,8 @@ the reason, before doing any work:
   component types are counted from the marks of the subsets of one fiber
   (_stratum_types), and each type's class is memoized as its nonzero
   terms, a piece over a larger base orbit being induced from it.  L is
-  the product of one isotypic block per distinct degree, whose terms
-  _product, the one product of polynomials in L, multiplies.
+  the product of one isotypic block per distinct degree, and _product,
+  the one product of polynomials in L, multiplies the blocks' terms.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from typing import NamedTuple, Sequence
 
-from .combinatorics import _check_int, _Immutable, _join, divisors, is_prime_power
+from .combinatorics import _check_int, _Immutable, _join, _partition_text, divisors, is_prime_power
 from .cyclic import CyclicBurnside
 
 
@@ -92,7 +92,7 @@ class AlgebraSpec(_Immutable):
         return cls(tuple(map(int, pieces)))
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.parts))
+        return _partition_text(self.parts)
 
 
 class TorusClass(_Immutable):
@@ -119,7 +119,7 @@ class TorusClass(_Immutable):
             return NotImplemented
         xs = [(i, k, c) for i, x in enumerate(self.coeffs) for k, c in x.coeffs.items()]
         ys = [(j, k, c) for j, y in enumerate(other.coeffs) for k, c in y.coeffs.items()]
-        return _from_terms(self.n + other.n, _product(xs, ys, self.n + other.n))
+        return _from_terms(self.n + other.n, _product(xs, ys))
 
     def count_points(self, q: int, e: int) -> int:
         """Number of points over the degree-e extension of a q-element
@@ -363,10 +363,10 @@ def _stratum_types(t: int, a: int) -> list[list[tuple[int, int, int, int]]]:
     ]
 
 
-def _product(xs, ys, degree: int) -> list[tuple[int, int, int]]:
-    """Product, to index degree, of polynomials in L given by nonzero terms
-    (i, k, c), c [k] at index i: orbits multiply as [a] * [b] = gcd(a, b) [lcm(a, b)]."""
-    out: list[dict[int, int]] = [{} for _ in range(degree + 1)]
+def _product(xs, ys) -> list[tuple[int, int, int]]:
+    """Product of polynomials in L by nonzero terms (i, k, c), c [k] at index i, ascending
+    in i, so the last terms fix its size: [a] * [b] = gcd(a, b) [lcm(a, b)] on orbits."""
+    out: list[dict[int, int]] = [{} for _ in range(xs[-1][0] + ys[-1][0] + 1)]
     for i, kx, cx in xs:
         for j, ky, cy in ys:
             g = math.gcd(kx, ky)
@@ -411,12 +411,10 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     """Stratification route.  Over the point, the return map on the single
     fiber is Frobenius, of cycle type spec.parts, and L is the product of
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
-    of a product are the product of the units: _product multiplies the
-    blocks' terms into the point's, (0, 1, 1), the empty product."""
-    terms = ((0, 1, 1),)
-    for t, a in Counter(spec.parts).items():
-        terms = _product(terms, _units_of_type(t, a), spec.n)
-    return _from_terms(spec.n, terms)
+    of a product are the product of the units: k blocks make k - 1 calls
+    of _product, and the zero algebra's class is the point's (0, 1, 1)."""
+    blocks = [_units_of_type(t, a) for t, a in Counter(spec.parts).items()]
+    return _from_terms(spec.n, reduce(_product, blocks) if blocks else ((0, 1, 1),))
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its

@@ -233,7 +233,8 @@ def _object_product(x, y):
     return TorusClass(n, out)
 
 
-# operands of the product: any route's class with n <= 12, the point and L - 1
+# operands of the product: any route's class with n <= 12, the point, L - 1,
+# and L and L^2 - [2] L, whose last term sits below their degree
 _FACTORS = st.one_of(
     st.builds(
         lambda parts, route: route(AlgebraSpec(parts)),
@@ -242,6 +243,8 @@ _FACTORS = st.one_of(
     ),
     st.just(_tc(0, {1: 1})),
     st.just(_tc(1, {1: 1}, {1: -1})),
+    st.just(_tc(1, {1: 1}, {})),
+    st.just(_tc(2, {1: 1}, {2: -1}, {})),
 )
 
 
@@ -249,6 +252,21 @@ _FACTORS = st.one_of(
 @given(_FACTORS, _FACTORS)
 def test_product_matches_the_coefficientwise_reference(x, y):
     assert x * y == _object_product(x, y)
+
+
+@pytest.mark.parametrize(
+    "parts, products",
+    [((8,), 0), ((4, 4), 0), ((1,) * 8, 0), ((5, 4, 1), 2), ((6, 4, 3, 2, 2), 3)],
+)
+def test_recursion_multiplies_only_its_blocks(parts, products, monkeypatch):
+    # one isotypic block per distinct degree, multiplied among themselves:
+    # k blocks make k - 1 products, and none is by the point
+    calls = []
+    product = torus._product
+    monkeypatch.setattr(torus, "_product", lambda *args: calls.append(args) or product(*args))
+    assert class_via_recursion(AlgebraSpec(parts)) == class_via_lambda(AlgebraSpec(parts))
+    assert len(calls) == products
+    assert all(len(terms) > 1 for factors in calls for terms in factors)  # never the point
 
 
 def _assert_checked_form(x):
@@ -386,6 +404,53 @@ def test_point_counts_match_oracle_on_a_grid():
             for q in (2, 3, 5):
                 for e in (1, 2, 3):
                     assert tc.count_points(q, e) == point_count_oracle(spec, q, e)
+
+
+def _mark_faults(parts, tc):
+    """The divisors d of lcm(parts) at which tc's marks, read as a
+    polynomial in Q = q^d, differ from prod_j (Q^(n_j / g_j) - 1)^(g_j),
+    g_j = gcd(n_j, d): the point count of the units over the degree-d
+    extension with q kept as a variable.  A class whose orbit sizes divide
+    the lcm is determined by these marks, so this checks every one of them."""
+    lcm = math.lcm(*parts)
+    faults = []
+    for d in filter(lambda d: lcm % d == 0, range(1, lcm + 1)):
+        expected = [1]
+        for nj in parts:
+            g = math.gcd(nj, d)
+            for _ in range(g):
+                # times Q^(nj / g) - 1
+                shifted = [0] * (nj // g) + expected
+                expected = [a - b for a, b in zip(shifted, expected + [0] * (nj // g))]
+        if [a.mark(d) for a in reversed(tc.coeffs)] != expected:
+            faults.append(d)
+    return faults
+
+
+def test_every_mark_is_the_point_count_polynomial():
+    # every route's class, 815 of them: n <= 12, and six prime fields past
+    # rho's domain; the marks at d = 1, 2, 3 are all that counts at e <= 3 see
+    cases = [(route, parts) for route in ROUTES for n in range(1, 13) for parts in partitions(n)]
+    cases += [(route, (13, 11, 7, 5, 3, 2)) for route in (class_via_lambda, class_via_recursion)]
+    assert len(cases) == 815
+    for route, parts in cases:
+        tc = route(AlgebraSpec(parts))
+        lcm = math.lcm(*parts)
+        assert all(lcm % k == 0 for a in tc.coeffs for k in a.coeffs), (route, parts)
+        assert _mark_faults(parts, tc) == [], (route, parts)
+
+
+def test_a_fault_that_the_counting_grid_misses_fails_a_mark():
+    # [4] added to the L^(n-2) coefficient of the (4, 2) class changes no
+    # count at e <= 3, verify's default grid, but changes the mark at 4
+    spec = AlgebraSpec((4, 2))
+    coeffs = list(class_via_lambda(spec).coeffs)
+    coeffs[2] += CyclicBurnside({4: 1})
+    faulty = TorusClass(spec.n, coeffs)
+    for q in (2, 3, 4, 5):
+        for e in (1, 2, 3):
+            assert faulty.count_points(q, e) == point_count_oracle(spec, q, e)
+    assert _mark_faults(spec.parts, faulty) == [4]
 
 
 @pytest.mark.parametrize("parts", [(2,) * 12, (3,) * 10, (6, 6, 6, 6, 4, 4, 4)], ids=str)
