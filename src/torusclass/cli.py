@@ -12,11 +12,11 @@ Only `lambda`, `rho` and `marks` keep the Schur ring's degree bound:
 they take n up to schur.DEGREE_BOUND (16), and only `marks` builds the
 p(n)^2 table schur.mark_matrix, labelled by partitions(n).  The routes of
 `class` and `verify` are those of torus.ROUTES, and each checks its own
-domain; rho's is a cost estimate of its dynamic program
-(torus.RHO_COST_BOUND).  A single-route `class` call outside it is a
-usage error.  With every route (`class --method all`, `verify`), a route
-outside its domain is skipped with the route's own reason; at least two
-must answer, and _all_routes alone compares each answer with the first.
+domain (torus.RHO_COST_BOUND, torus.RECURSION_RANK_BOUND).  A single-route
+`class` call outside it is a usage error.  With every route (`class
+--method all`, `verify`), a route outside its domain is skipped with the
+route's own reason; at least two must answer, and _all_routes alone
+compares each answer with the first.
 
 Each command's flags are declared once, in COMMANDS.  `main` reads a call
 of exactly the form `<command> (--flag value)*` off that table, without
@@ -51,17 +51,10 @@ if TYPE_CHECKING:
     import argparse
 
 
-def _render_class(tc: TorusClass, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(tc.to_json())
-    if fmt == "latex":
-        return tc.latex()
-    return tc.text()
-
-
-def _print_rendered(text: str) -> None:
-    """print(text), written 64 KiB at a time: a whole long output, such as
+def _print_class(tc: TorusClass, fmt: str) -> None:
+    """Print tc in the format fmt, 64 KiB at a time: a long output, such as
     the class of (5000,), would otherwise be encoded into a second copy."""
+    text = json.dumps(tc.to_json()) if fmt == "json" else tc.latex() if fmt == "latex" else tc.text()
     step = 1 << 16
     for start in range(0, len(text), step):
         sys.stdout.write(text[start:start + step])
@@ -91,8 +84,7 @@ def _all_routes(
 def cmd_class(args) -> int:
     spec = AlgebraSpec.parse(args.partition)
     if args.method != "all":
-        tc = ROUTES[args.method](spec)
-        _print_rendered(_render_class(tc, args.format))
+        _print_class(ROUTES[args.method](spec), args.format)
         return 0
     results, first, disagree = _all_routes(spec)
     if args.format == "text":
@@ -103,7 +95,7 @@ def cmd_class(args) -> int:
                 print(f"{name + ':':<11}{tc.text()}")
         print("DISAGREE" if disagree else "AGREE")
     else:
-        _print_rendered(_render_class(results[first], args.format))
+        _print_class(results[first], args.format)
     if disagree:
         print("error: computation methods disagree", file=sys.stderr)
         return 1

@@ -80,28 +80,33 @@ def _partitions(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def _prime_powers(n: int):
+    """(p, k) for each p^k exactly dividing n, ascending in p, by trial division
+    up to the unfactored rest's square root; lazy, so the first pair takes < p steps."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            yield p, k
+        p += 1
+    if n > 1:
+        yield n, 1
+
+
 def divisors(*orders: int) -> list[int]:
-    """The positive divisors of the lcm of orders, ascending; divisors()
-    is [1].  Each distinct order is factored on its own by trial division,
-    which stops once the unfactored rest is 1 or a prime, and each prime
-    keeps its highest power: an order n costs at most sqrt(n) steps, and
-    the lcm itself is never factored.
-    """
+    """The positive divisors of the lcm of orders, ascending; divisors() is
+    [1].  Each distinct order is factored on its own, and each prime keeps
+    its highest power, so the lcm itself is never factored."""
     for n in orders:
         _check_int("n", n, 1)
     exponents: dict[int, int] = {}
     for n in set(orders):
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                k = 0
-                while n % p == 0:
-                    n //= p
-                    k += 1
-                exponents[p] = max(exponents.get(p, 0), k)
-            p += 1
-        if n > 1:
-            exponents.setdefault(n, 1)
+        for p, k in _prime_powers(n):
+            if k > exponents.get(p, 0):
+                exponents[p] = k
     out = [1]
     for p, k in exponents.items():
         out += [d * p**j for d in out for j in range(1, k + 1)]
@@ -155,11 +160,5 @@ def is_prime_power(q: int) -> bool:
     """Whether q = p^k for a prime p and k >= 1: the sizes of finite fields."""
     if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True
+    p, k = next(_prime_powers(q))
+    return p**k == q

@@ -37,7 +37,8 @@ the reason, before doing any work:
   (_stratum_types), and each type's class is memoized as its nonzero
   terms, a piece over a larger base orbit being induced from it.  L is
   the product of one isotypic block per distinct degree, and _product,
-  the one product of polynomials in L, multiplies the blocks' terms.
+  the one product of polynomials in L, multiplies the blocks' terms.  Its
+  domain is the rank of the largest block, at most RECURSION_RANK_BOUND.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -230,6 +231,10 @@ class OutsideDomain(ValueError):
 # (Python 3.11, 2-vCPU shared VM), an accepted input finishes within about
 # 1.5 s.
 RHO_COST_BOUND = 10**7
+# The recursion route's domain: the largest rank t a of an isotypic block.
+# _units_of_type recurses once per rank; a rank of 499 passes the default
+# limit of 1,000 frames, and (1,) * 400 answers in 4-6 s on the same VM.
+RECURSION_RANK_BOUND = 400
 
 
 @cache
@@ -413,8 +418,12 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
     of a product are the product of the units: k blocks make k - 1 calls
     of _product, and the zero algebra's class is the point's (0, 1, 1)."""
-    blocks = [_units_of_type(t, a) for t, a in Counter(spec.parts).items()]
-    return _from_terms(spec.n, reduce(_product, blocks) if blocks else ((0, 1, 1),))
+    blocks = Counter(spec.parts)
+    rank = max((t * a for t, a in blocks.items()), default=0)
+    if rank > RECURSION_RANK_BOUND:
+        raise OutsideDomain(f"isotypic block rank {rank:,} > {RECURSION_RANK_BOUND:,}")
+    terms = [_units_of_type(t, a) for t, a in blocks.items()]
+    return _from_terms(spec.n, reduce(_product, terms) if terms else ((0, 1, 1),))
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its

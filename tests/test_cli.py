@@ -24,6 +24,7 @@ from torusclass.combinatorics import partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import (
+    RECURSION_RANK_BOUND,
     RHO_COST_BOUND,
     ROUTES,
     AlgebraSpec,
@@ -218,6 +219,22 @@ def test_single_route_outside_its_domain_exits_2_with_its_reason(capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: mark DP estimate 86,466,462,500 > {RHO_COST_BOUND:,}\n"
+
+
+def test_a_block_past_the_recursion_rank_bound_exits_2(capsys):
+    # 300 quadratic fields, one block of rank 600: the recursion declines it
+    # instead of dying with RecursionError, and rho's estimate is past its
+    # bound too, so only lambda answers
+    partition = ",".join(["2"] * 300)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["class", "--partition", partition, "--method", "recursion"])
+    assert time.perf_counter() - start < 1
+    reason = f"isotypic block rank 600 > {RECURSION_RANK_BOUND:,}"
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+    for command in (["class", "--method", "all"], ["verify"]):
+        code, out, err = _run(capsys, [*command, "--partition", partition])
+        assert (code, out) == (2, "")
+        assert err == f"error: fewer than two routes can answer for partition ({partition})\n"
 
 
 def test_a_skipped_lambda_route_leaves_the_first_answer_as_reference(capsys, monkeypatch):

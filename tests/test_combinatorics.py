@@ -189,3 +189,9 @@ def test_prime_powers_match_a_scan():
     # only integers are field sizes: floats and bools are refused
     for q in (2.0, 4.5, 8.0, 9.0, True):
         assert not is_prime_power(q), q
+    assert is_prime_power(3**40)
+    # the least prime factor decides: trial division of the Mersenne prime
+    # 2^61 - 1 would take about 1.5 * 10^9 steps
+    start = time.perf_counter()
+    assert not is_prime_power(2 * (2**61 - 1))
+    assert time.perf_counter() - start < 0.1

@@ -1,7 +1,9 @@
 """Unit-torus classes: three routes, strata, counting, rendering."""
 
 import copy
+import hashlib
 import inspect
+import json
 import math
 import pickle
 import sys
@@ -30,6 +32,7 @@ from torusclass.combinatorics import divisors, partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import torus_coefficient
 from torusclass.torus import (
+    RECURSION_RANK_BOUND,
     AlgebraSpec,
     OutsideDomain,
     TorusClass,
@@ -115,6 +118,29 @@ def test_routes_agree_on_all_small_partitions():
             assert class_via_recursion(spec) == expected
 
 
+def agreement_corpus(n_max):
+    """Check that the three routes agree on every partition of n = 1..n_max
+    and that the class passes the duality identities; return one SHA-256
+    over lambda's JSON, a line per partition in partitions(n) order.  CI
+    runs it to n = 24."""
+    digest = hashlib.sha256()
+    for n in range(1, n_max + 1):
+        for parts in partitions(n):
+            spec = AlgebraSpec(parts)
+            tc = class_via_lambda(spec)
+            assert class_via_universal(spec) == tc == class_via_recursion(spec), parts
+            assert _duality_faults(tc) == [], parts
+            digest.update((json.dumps(tc.to_json()) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_routes_agree_on_every_partition_to_n_20():
+    # 2,713 partitions; the digest was taken before the routes shared a
+    # trial division, and pins every class as well as the routes' agreement
+    digest = agreement_corpus(20)
+    assert digest == "d9ff55155d48f36f34c391ebf6bf7a37a37b862389aa2f31084025e2995d6859"
+
+
 _PACKAGE = (cli, combinatorics, cyclic, schur, torus)
 # comprehension frames depend on the Python version (3.12 inlines list, dict
 # and set comprehensions into the enclosing frame), so none is counted
@@ -169,6 +195,7 @@ def test_routes_share_only_the_core():
     assert {names.get(key, f"{key[0]}:{key[1]}") for key in shared} == {
         "_check_int",
         "divisors",
+        "_prime_powers",
         "_moebius_steps",
         "CyclicBurnside.__eq__",
         "CyclicBurnside._coerce",
@@ -427,6 +454,16 @@ def _mark_faults(parts, tc):
     return faults
 
 
+def _duality_faults(tc):
+    """The indices i at which a_(n-i) != a_n a_i; i = n is a_n a_n = 1.
+    At each divisor d the marks of the coefficients are those of a
+    polynomial P_d(Q) = prod_j (Q^(n_j / g_j) - 1)^(g_j), whose reverse
+    Q^n P_d(1/Q) is P_d(0) P_d(Q), with P_d(0) = +-1 the mark of a_n; marks
+    are ring homomorphisms, so the identities hold in the Burnside ring."""
+    a, n = tc.coeffs, tc.n
+    return [i for i in range(1, n + 1) if a[n - i] != a[n] * a[i]]
+
+
 def test_every_mark_is_the_point_count_polynomial():
     # every route's class, 815 of them: n <= 12, and six prime fields past
     # rho's domain; the marks at d = 1, 2, 3 are all that counts at e <= 3 see
@@ -451,6 +488,9 @@ def test_a_fault_that_the_counting_grid_misses_fails_a_mark():
         for e in (1, 2, 3):
             assert faulty.count_points(q, e) == point_count_oracle(spec, q, e)
     assert _mark_faults(spec.parts, faulty) == [4]
+    # duality sees it too, at a_2 and at its dual a_4
+    assert _duality_faults(class_via_lambda(spec)) == []
+    assert _duality_faults(faulty) == [2, 4]
 
 
 @pytest.mark.parametrize("parts", [(2,) * 12, (3,) * 10, (6, 6, 6, 6, 4, 4, 4)], ids=str)
@@ -648,6 +688,34 @@ def test_rho_declines_a_huge_field_without_building_its_power_types():
             class_via_universal(AlgebraSpec(parts))
         assert time.perf_counter() - start < 1
         assert str(excinfo.value) == f"mark DP estimate {cost:,} > 10,000,000"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitions_up_to(24), st.sampled_from((*ROUTES, norm_one_class)))
+def test_duality_holds_on_random_partitions(parts, route):
+    # every route's class and the norm-one class; rho answers every n <= 24
+    assert _duality_faults(route(AlgebraSpec(parts))) == []
+
+
+def test_recursion_declines_a_block_past_its_rank_bound(monkeypatch):
+    # _units_of_type recurses once per rank, so a block of rank 600 would
+    # die with RecursionError; it is declined before any stratum is counted
+    huge = 10**16 + 61
+    for parts, rank in [((2,) * 300, 600), ((1,) * 401 + (3,) * 5, 401), ((huge,), huge)]:
+        misses = _units_of_type.cache_info().misses
+        start = time.perf_counter()
+        with pytest.raises(OutsideDomain) as excinfo:
+            class_via_recursion(AlgebraSpec(parts))
+        assert time.perf_counter() - start < 0.1
+        assert str(excinfo.value) == f"isotypic block rank {rank:,} > {RECURSION_RANK_BOUND:,}"
+        assert _units_of_type.cache_info().misses == misses
+    # the bound is on the largest block: at it a route answers, past it not
+    monkeypatch.setattr(torus, "RECURSION_RANK_BOUND", 12)
+    for parts in [(1,) * 12, (6, 6, 4, 4, 4, 3, 3), (12, 11, 1)]:
+        assert class_via_recursion(AlgebraSpec(parts)) == class_via_lambda(AlgebraSpec(parts))
+    for parts in [(1,) * 13, (7, 7, 1), (13,)]:
+        with pytest.raises(OutsideDomain):
+            class_via_recursion(AlgebraSpec(parts))
 
 
 def test_recursion_route_at_large_n():
