@@ -64,19 +64,20 @@ def _print_class(tc: TorusClass, fmt: str) -> None:
 def _all_routes(
     spec: AlgebraSpec,
 ) -> tuple[dict[str, TorusClass | OutsideDomain], str, list[str]]:
-    """Every route's class of spec, or the OutsideDomain it raised outside
-    its domain; the first route that answered; and, in ROUTES order, the
-    routes whose class differs from its class.  Both `class --method all`
-    and `verify` print this one verdict.  At least two routes must answer."""
-    results: dict[str, TorusClass | OutsideDomain] = {}
-    for name, route in ROUTES.items():
+    """Every route's class of spec, or the OutsideDomain it raised, in ROUTES
+    order; the first route that answered; and the routes whose class differs
+    from its class.  `class --method all` and `verify` print this verdict.
+    Lambda, which declares no domain, runs last, and only if two can answer."""
+    results = dict.fromkeys(ROUTES)  # in ROUTES order, filled from the end
+    can_answer = len(ROUTES)
+    for name in reversed(ROUTES):
         try:
-            results[name] = route(spec)
+            results[name] = ROUTES[name](spec)
         except OutsideDomain as skip:
-            results[name] = skip
+            results[name], can_answer = skip, can_answer - 1
+        if can_answer < 2:
+            raise ValueError(f"fewer than two routes can answer for partition ({spec})")
     answered = [name for name, tc in results.items() if isinstance(tc, TorusClass)]
-    if len(answered) < 2:
-        raise ValueError(f"fewer than two routes can answer for partition ({spec})")
     first = answered[0]
     return results, first, [name for name in answered if results[name] != results[first]]
 

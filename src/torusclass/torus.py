@@ -29,16 +29,15 @@ the reason, before doing any work:
   Frobenius come from a dynamic program over the cycles (_rho_marks),
   never from the lambda identity, and its domain is a cost estimate of
   that program, at most RHO_COST_BOUND;
-* class_via_recursion: a direct stratification of affine n-space over
-  the base, peeling off loci by the size of their vanishing set within
-  each fiber, on isomorphism types (t, a) of fibered pieces: a return map
-  with a cycles of length t, the algebra F_{q^t}^a.  Each stratum's
-  component types are counted from the marks of the subsets of one fiber
-  (_stratum_types), and each type's class is memoized as its nonzero
-  terms, a piece over a larger base orbit being induced from it.  L is
-  the product of one isotypic block per distinct degree, and _product,
-  the one product of polynomials in L, multiplies the blocks' terms.  Its
-  domain is the rank of the largest block, at most RECURSION_RANK_BOUND.
+* class_via_recursion: a direct stratification of affine space, peeling
+  off loci by the size of their vanishing set.  Only fields F_{q^t} are
+  stratified, their strata's component types counted from the marks of
+  the subsets of one fiber (_stratum_types): the units of a product are
+  the product of the units, so a block F_{q^t}^a is a power of its
+  field's class, and L is the product of one block per distinct degree,
+  all by _product.  Each type's class is memoized as its nonzero terms;
+  the depth is about log2 a plus the prime factors of t.  Its domain is
+  the rank of the largest block, at most RECURSION_RANK_BOUND.
 
 Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
@@ -232,8 +231,8 @@ class OutsideDomain(ValueError):
 # 1.5 s.
 RHO_COST_BOUND = 10**7
 # The recursion route's domain: the largest rank t a of an isotypic block.
-# _units_of_type recurses once per rank; a rank of 499 passes the default
-# limit of 1,000 frames, and (1,) * 400 answers in 4-6 s on the same VM.
+# Its depth is about log2 a plus the prime factors of t, far inside the
+# frame limit, so the bound awaits a time estimate: (360,) takes 13-16 s.
 RECURSION_RANK_BOUND = 400
 
 
@@ -341,29 +340,26 @@ def char_poly_oracle(spec: AlgebraSpec) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _stratum_types(t: int, a: int) -> list[list[tuple[int, int, int, int]]]:
-    """Component types of the strata of a fibered piece over a single
-    point whose return map sigma has a cycles of length t, as
-    (m, t', a', count) entries, for each stratum index s in 0..r, r = a t.
+def _stratum_types(t: int) -> list[list[tuple[int, int, int, int]]]:
+    """Component types of the strata of the field F_{q^t}, a fibered piece
+    over a single point whose return map sigma is one t-cycle, as
+    (m, t', a', count) entries for each stratum index s in 0..t.
 
     The stratum's base points are the s-subsets of the fiber, and its
-    components are their sigma-orbits.  For d dividing t, sigma^d has a d
+    components are their sigma-orbits.  For d dividing t, sigma^d has d
     cycles of length t / d and fixes a subset exactly when it is a union
-    of them, so the fixed s-subsets number C(a d, s d / t), or 0 when t
+    of them, so the fixed s-subsets number C(d, s d / t), or 0 when t
     does not divide s d.  From these marks, one row per d over every s,
     one call of the mark kernel CyclicBurnside._from_mark_rows gives the
     number of orbits of each length m in every stratum.  An orbit of
     length m gives a component whose new return map sigma^m has
-    a' = (r - s) m / t cycles of length t' = t / m on the complement.  No
+    a' = (t - s) m / t cycles of length t' = t / m on the complement.  No
     subset is enumerated.
     """
-    r = a * t
     divs = divisors(t)
-    rows = [
-        [0 if s * d % t else math.comb(a * d, s * d // t) for s in range(r + 1)] for d in divs
-    ]
+    rows = [[0 if s * d % t else math.comb(d, s * d // t) for s in range(t + 1)] for d in divs]
     return [
-        [(m, t // m, (r - s) * m // t, count) for m, count in orbits.coeffs.items()]
+        [(m, t // m, (t - s) * m // t, count) for m, count in orbits.coeffs.items()]
         for s, orbits in enumerate(CyclicBurnside._from_mark_rows(divs, rows))
     ]
 
@@ -391,20 +387,23 @@ def _from_terms(n: int, terms) -> TorusClass:
 def _units_of_type(t: int, a: int) -> tuple[tuple[int, int, int], ...]:
     """Class of the unit scheme of a fibered piece over a single point
     whose return map on the fiber has a cycles of length t: the algebra
-    F_{q^t}^a, of rank r = a t.  Affine r-space splits into the units, the
-    strata with vanishing set of size 1..r-1, and the zero section:
+    F_{q^t}^a, of rank a t; for a > 1, the product of F_{q^t}^(a // 2) and
+    F_{q^t}^(a - a // 2).  Only a field is stratified: affine t-space
+    splits into the units, the strata with vanishing set of size 1..t-1,
+    and the zero section:
 
-        [units] = L^r - sum_s [units(stratum_s)] - 1.
+        [units] = L^t - sum_s [units(stratum_s)] - 1.
 
     A stratum component of type (m, t', a') lies over an m-orbit, so it is
     induced from the index-m subgroup, which sends [k] to [m k] in every
-    coefficient of the class of type (t', a'), of rank r - s.  A class is
-    its nonzero terms (i, k, c), c [k] at L^(r - i), from (0, 1, 1) on.
+    coefficient of the class of type (t', a'), of rank t - s.  A class is
+    its nonzero terms (i, k, c), c [k] at L^(rank - i), from (0, 1, 1) on.
     """
-    r = a * t
-    # orbit-size -> multiplicity per coefficient, L^r first
-    poly: list[dict[int, int]] = [{1: 1}, *({} for _ in range(r - 1)), {1: -1}]
-    for s, entries in enumerate(_stratum_types(t, a)[1:r], 1):
+    if a > 1:
+        return tuple(_product(_units_of_type(t, a // 2), _units_of_type(t, a - a // 2)))
+    # orbit-size -> multiplicity per coefficient, L^t first
+    poly: list[dict[int, int]] = [{1: 1}, *({} for _ in range(t - 1)), {1: -1}]
+    for s, entries in enumerate(_stratum_types(t)[1:t], 1):
         for m, t2, a2, count in entries:
             for i, k, c in _units_of_type(t2, a2):
                 acc = poly[s + i]
@@ -417,7 +416,7 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     fiber is Frobenius, of cycle type spec.parts, and L is the product of
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
     of a product are the product of the units: k blocks make k - 1 calls
-    of _product, and the zero algebra's class is the point's (0, 1, 1)."""
+    of _product besides their powers; the zero algebra is the point's (0, 1, 1)."""
     blocks = Counter(spec.parts)
     rank = max((t * a for t, a in blocks.items()), default=0)
     if rank > RECURSION_RANK_BOUND:

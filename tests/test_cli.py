@@ -237,6 +237,21 @@ def test_a_block_past_the_recursion_rank_bound_exits_2(capsys):
         assert err == f"error: fewer than two routes can answer for partition ({partition})\n"
 
 
+def test_all_routes_refuse_before_lambda_when_two_cannot_answer(capsys, monkeypatch):
+    # one field of degree 5,000: rho and the recursion decline it at once,
+    # so lambda, which alone could answer, is never run
+    calls = []
+    lam = ROUTES["lambda"]
+    monkeypatch.setitem(ROUTES, "lambda", lambda spec: calls.append(spec) or lam(spec))
+    for command in (["class", "--method", "all"], ["verify", "--qmax", "2", "--emax", "1"]):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, [*command, "--partition", "5000"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: fewer than two routes can answer for partition (5000)\n"
+    assert calls == []
+
+
 def test_a_skipped_lambda_route_leaves_the_first_answer_as_reference(capsys, monkeypatch):
     def skip(spec):
         raise OutsideDomain("lambda is off")

@@ -281,19 +281,28 @@ def test_product_matches_the_coefficientwise_reference(x, y):
     assert x * y == _object_product(x, y)
 
 
+# the products that a cold recursion makes, powers included
+COLD_PRODUCTS = {(8,): 8, (4, 4): 3, (1,) * 8: 3, (5, 4, 1): 5, (6, 4, 3, 2, 2): 8}
+
+
 @pytest.mark.parametrize(
     "parts, products",
     [((8,), 0), ((4, 4), 0), ((1,) * 8, 0), ((5, 4, 1), 2), ((6, 4, 3, 2, 2), 3)],
 )
 def test_recursion_multiplies_only_its_blocks(parts, products, monkeypatch):
-    # one isotypic block per distinct degree, multiplied among themselves:
+    # from an empty memo, every power F_{q^t}^a with a > 1 in the strata and
+    # the blocks is one product of its halves; once the powers are memoised,
     # k blocks make k - 1 products, and none is by the point
+    _units_of_type.cache_clear()
     calls = []
     product = torus._product
     monkeypatch.setattr(torus, "_product", lambda *args: calls.append(args) or product(*args))
     assert class_via_recursion(AlgebraSpec(parts)) == class_via_lambda(AlgebraSpec(parts))
-    assert len(calls) == products
+    assert len(calls) == COLD_PRODUCTS[parts]
     assert all(len(terms) > 1 for factors in calls for terms in factors)  # never the point
+    calls.clear()
+    assert class_via_recursion(AlgebraSpec(parts)) == class_via_lambda(AlgebraSpec(parts))
+    assert len(calls) == products
 
 
 def _assert_checked_form(x):
@@ -698,8 +707,8 @@ def test_duality_holds_on_random_partitions(parts, route):
 
 
 def test_recursion_declines_a_block_past_its_rank_bound(monkeypatch):
-    # _units_of_type recurses once per rank, so a block of rank 600 would
-    # die with RecursionError; it is declined before any stratum is counted
+    # the domain is the rank of the largest block, checked before any
+    # stratum is counted; a huge field is declined without factoring it
     huge = 10**16 + 61
     for parts, rank in [((2,) * 300, 600), ((1,) * 401 + (3,) * 5, 401), ((huge,), huge)]:
         misses = _units_of_type.cache_info().misses
@@ -716,6 +725,20 @@ def test_recursion_declines_a_block_past_its_rank_bound(monkeypatch):
     for parts in [(1,) * 13, (7, 7, 1), (13,)]:
         with pytest.raises(OutsideDomain):
             class_via_recursion(AlgebraSpec(parts))
+
+
+@pytest.mark.parametrize("t, a", [(1, 400), (2, 200), (5, 80), (6, 40)])
+def test_large_repeated_degree_blocks_are_powers_of_their_field(t, a):
+    # a block F_{q^t}^a is a power of its field's class, made by halving a,
+    # so from an empty memo it takes O(log a) classes per divisor of t, not
+    # one per rank
+    _units_of_type.cache_clear()
+    spec = AlgebraSpec((t,) * a)
+    start = time.perf_counter()
+    tc = class_via_recursion(spec)
+    assert time.perf_counter() - start < 2
+    assert _units_of_type.cache_info().misses <= 2 * a.bit_length() * len(divisors(t))
+    assert tc == class_via_lambda(spec)
 
 
 def test_recursion_route_at_large_n():
@@ -848,41 +871,36 @@ def _isotypic_types(r):
 
 
 def test_stratum_types_match_materialised_strata():
-    for r in range(1, 8):
-        for t, a in _isotypic_types(r):
-            strata = _stratum_types(t, a)
-            for i in range(1, r):
-                for b in (1, 2, 3):
-                    expected = _materialised_stratum_types(b, (t,) * a, i)
-                    got = Counter({(b * m, (t2,) * a2): c for m, t2, a2, c in strata[i]})
-                    assert got == expected, (b, t, a, i)
+    for t in range(1, 8):
+        strata = _stratum_types(t)
+        for i in range(1, t):
+            for b in (1, 2, 3):
+                expected = _materialised_stratum_types(b, (t,), i)
+                got = Counter({(b * m, (t2,) * a2): c for m, t2, a2, c in strata[i]})
+                assert got == expected, (b, t, i)
 
 
 def test_stratum_types_match_the_subset_walk():
-    for r in range(1, 13):
-        for t, a in _isotypic_types(r):
-            strata = _stratum_types(t, a)
-            assert len(strata) == r + 1
-            # the empty subset and the whole fiber are fixed by sigma
-            assert strata[0] == [(1, t, a, 1)] and strata[r] == [(1, t, 0, 1)]
-            for i in range(1, r):
-                got = Counter({(m, (t2,) * a2): c for m, t2, a2, c in strata[i]})
-                assert got == subset_walk_stratum_types((t,) * a, i), (t, a, i)
+    for t in range(1, 13):
+        strata = _stratum_types(t)
+        assert len(strata) == t + 1
+        # the empty subset and the whole fiber are fixed by sigma
+        assert strata[0] == [(1, t, 1, 1)] and strata[t] == [(1, t, 0, 1)]
+        for i in range(1, t):
+            got = Counter({(m, (t2,) * a2): c for m, t2, a2, c in strata[i]})
+            assert got == subset_walk_stratum_types((t,), i), (t, i)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 60).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, 60 // t))))
-def test_isotypic_strata_partition_the_subsets(block):
-    # every s-subset of the fiber lies in exactly one orbit, of length m
-    # dividing t, and leaves a' cycles of length t' = t / m on the rest
-    t, a = block
-    r = a * t
-    strata = _stratum_types(t, a)
-    assert len(strata) == r + 1
-    for s, entries in enumerate(strata):
-        assert sum(m * count for m, _, _, count in entries) == math.comb(r, s), (t, a, s)
-        for m, t2, a2, count in entries:
-            assert t % m == 0 and t2 == t // m and t2 * a2 == r - s and count > 0
+def test_isotypic_strata_partition_the_subsets():
+    # every s-subset of the field's fiber lies in exactly one orbit, of
+    # length m dividing t, and leaves a' cycles of length t' = t / m on the rest
+    for t in range(1, 61):
+        strata = _stratum_types(t)
+        assert len(strata) == t + 1
+        for s, entries in enumerate(strata):
+            assert sum(m * count for m, _, _, count in entries) == math.comb(t, s), (t, s)
+            for m, t2, a2, count in entries:
+                assert t % m == 0 and t2 == t // m and t2 * a2 == t - s and count > 0
 
 
 def test_units_of_type_terms_are_nonzero_and_in_range():
