@@ -53,12 +53,36 @@ if TYPE_CHECKING:
 
 def _print_class(tc: TorusClass, fmt: str) -> None:
     """Print tc in the format fmt, 64 KiB at a time: a long output, such as
-    the class of (5000,), would otherwise be encoded into a second copy."""
-    text = json.dumps(tc.to_json()) if fmt == "json" else tc.latex() if fmt == "latex" else tc.text()
+    the class of (5000,), would otherwise be encoded into a second copy.
+    JSON is the layout json.dumps(tc.to_json()) prints, built here one
+    piece per nonzero coefficient and written in batches of the pieces,
+    never joined whole.  Every piece is built before the first write, so an
+    integer past the interpreter's limit for printing raises ValueError
+    with nothing written."""
     step = 1 << 16
-    for start in range(0, len(text), step):
-        sys.stdout.write(text[start:start + step])
-    sys.stdout.write("\n")
+    if fmt != "json":
+        text = tc.latex() if fmt == "latex" else tc.text()
+        for start in range(0, len(text), step):
+            sys.stdout.write(text[start:start + step])
+        sys.stdout.write("\n")
+        return
+    pieces, sep = [f'{{"n": {tc.n}, "coeffs": ['], ""
+    for i, a in enumerate(tc.coeffs):
+        terms = sorted(a.coeffs.items())
+        if terms:
+            artin = ", ".join([f'"{k}": {c}' for k, c in terms])
+            pieces.append(f'{sep}{{"power": {tc.n - i}, "artin": {{{artin}}}}}')
+            sep = ", "
+    pieces.append("]}\n")
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= step:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
 
 
 def _all_routes(

@@ -27,8 +27,11 @@ the reason, before doing any work:
   the alternating sum over compositions of i of the sets of tuples of
   disjoint subsets; its marks at the cycle types of the powers of
   Frobenius come from a dynamic program over the cycles (_rho_marks),
-  never from the lambda identity, and its domain is a cost estimate of
-  that program, at most RHO_COST_BOUND;
+  never from the lambda identity, which adds a cycle to each count of
+  blocks by one shift and add of an integer packing the counts by
+  points, or by a list of rows on a shape of more than RHO_PACKED_CYCLES
+  cycles; its domain is a cost estimate of that program, at most
+  RHO_COST_BOUND;
 * class_via_recursion: a direct stratification of affine space, peeling
   off loci by the size of their vanishing set.  Only fields F_{q^t} are
   stratified, their strata's component types counted from the marks of
@@ -226,10 +229,16 @@ class OutsideDomain(ValueError):
 
 
 # The rho route's domain: the largest cost estimate of its dynamic program
-# that it accepts (see class_via_universal).  At 80-170 ns per unit
-# (Python 3.11, 2-vCPU shared VM), an accepted input finishes within about
-# 1.5 s.
+# that it accepts (see class_via_universal).  At 80-170 ns per unit of the
+# list of rows (Python 3.11, 2-vCPU shared VM), which every shape of more
+# than RHO_PACKED_CYCLES cycles keeps, an accepted input finishes within
+# about 1.5 s; a packed shape runs faster than its estimate.
 RHO_COST_BOUND = 10**7
+# The most cycles of a shape whose counts _rho_marks packs into integers.
+# Packing took (1,)*64 to 0.6-0.85x of the list of rows, but (1,)*100 to
+# 1.06x, (1,)*200 to 1.6x and (2,)*100 to 2.3x (Python 3.11, 2-vCPU shared
+# VM): its fields grow with the cycles, the list's steps do not.
+RHO_PACKED_CYCLES = 64
 # The recursion route's domain: the largest rank t a of an isotypic block.
 # Its depth is about log2 a plus the prime factors of t, far inside the
 # frame limit, so the bound awaits a time estimate: (360,) takes 13-16 s.
@@ -253,8 +262,42 @@ def _rho_marks(shape: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     blocks.  A cycle of length l is skipped, joins one of the j blocks, or
     opens a block of its own.  The j! orders of the blocks then give
     mark(rho_i) = sum_j (-1)^j j! rows[i][j].
+
+    With c <= RHO_PACKED_CYCLES cycles, column j of the rows is one
+    integer, packed[j], whose w-bit field s holds rows[s][j], so a cycle
+    of length l updates a whole column by one shift and add:
+    packed[j] += (j packed[j] + packed[j - 1]) << w l, for j descending.
+    Each mark is a signed sum of counts of maps from the c cycles to the
+    block indices 0..c (0 for skipped), so |mark| <= (c + 1)^c < 2^(w - 1)
+    for w = 8 floor(((c + 1) bit_length(c + 1) + 9) / 8), and the sum's
+    fields, biased by 2^(w - 1), are read back exactly.  A shape with more
+    cycles keeps the list of rows: there the fields, of about c log2 c
+    bits each, cost more big-integer work than the list saves in
+    interpreted steps.
     """
     n = sum(length * count for length, count in shape)
+    cycles = sum(count for _, count in shape)
+    if cycles <= RHO_PACKED_CYCLES:
+        width = 8 * (((cycles + 1) * (cycles + 1).bit_length() + 9) // 8)
+        packed = [1]
+        for length, count in shape:
+            shift = width * length
+            for _ in range(count):
+                packed.append(packed[-1] << shift)
+                # descending j reads each column before this cycle writes to it
+                for j in range(len(packed) - 2, 0, -1):
+                    packed[j] += (j * packed[j] + packed[j - 1]) << shift
+        total = packed[-1]  # sum_j (-1)^j j! packed[j], by Horner's rule
+        for j in range(len(packed) - 2, -1, -1):
+            total = packed[j] - (j + 1) * total
+        size = width // 8
+        bias = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
+        data = (total + bias).to_bytes(size * (n + 1), "little")
+        half = 1 << (width - 1)
+        return tuple(
+            int.from_bytes(data[s : s + size], "little") - half
+            for s in range(size, size * (n + 1), size)
+        )
     rows: list[list[int]] = [[1]] + [[] for _ in range(n)]
     seen = 0
     for length, count in shape:
@@ -273,7 +316,7 @@ def _rho_marks(shape: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
                         dst[j + 1] += v
             seen += length
     signed = [1]
-    for j in range(1, sum(count for _, count in shape) + 1):
+    for j in range(1, cycles + 1):
         signed.append(-j * signed[-1])
     return tuple(sum(w * v for w, v in zip(signed, row)) for row in rows[1:])
 
@@ -285,7 +328,9 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     per distinct type (_rho_marks), one row per divisor of lcm(parts),
     taken from the parts, and one call of the mark kernel pulls every
     coefficient back.  Each type is its shape, the (length, count) pairs
-    of its cycles, so none is spelt out.
+    of its cycles, so none is spelt out; a shape of at most
+    RHO_PACKED_CYCLES cycles runs on packed integers, one shift and add
+    per count of blocks and cycle, and a larger one on the list of rows.
 
     Its domain is a cost estimate of those programs, taken before any of
     them runs: n c^2 / 2 summed over the distinct shapes with c cycles,

@@ -74,6 +74,37 @@ def test_an_output_of_several_pieces_prints_as_one(capsys):
         assert _run(capsys, argv)[:2] == (0, text + "\n")
 
 
+def test_json_is_what_json_dumps_prints(capsys):
+    # the class command writes JSON itself, byte for byte as json.dumps
+    # prints to_json(), for every route on all 272 partitions of n <= 12
+    specs = [AlgebraSpec(parts) for n in range(13) for parts in partitions(n)]
+    assert len(specs) == 272
+    for spec in specs:
+        for route in ROUTES.values():
+            tc = route(spec)
+            cli._print_class(tc, "json")
+            assert capsys.readouterr().out == json.dumps(tc.to_json()) + "\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int printing limit")
+def test_json_past_the_int_printing_limit_writes_nothing(capsys):
+    # under a limit of 640 digits, 199 coefficients of 601 digits (more than
+    # 64 KiB of JSON) print and a last one of 700 digits does not: every
+    # piece is built before the first write, so nothing is written
+    long = [CyclicBurnside({1: 10**600})] * 199
+    tc = TorusClass(200, [CyclicBurnside.ONE, *long, CyclicBurnside({1: 10**699})])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        cli._print_class(TorusClass(199, tc.coeffs[:200]), "json")
+        assert len(capsys.readouterr().out) > 1 << 16
+        with pytest.raises(ValueError):
+            cli._print_class(tc, "json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == ""
+
+
 def test_class_latex(capsys):
     code, out, _ = _run(capsys, ["class", "--partition", "4", "--format", "latex"])
     assert code == 0

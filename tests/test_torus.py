@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import pickle
+import random
 import sys
 import time
 from collections import Counter
@@ -620,21 +621,53 @@ def test_dp_marks_are_the_schur_marks():
                 assert marks[i - 1] == rho._mark(tau)
 
 
-def test_dp_marks_are_the_coefficients_of_the_cycle_product():
+def _cycle_product_marks(tau):
     # the paper's theorem at one mark: mark(rho_i) at a permutation of cycle
     # type tau is the coefficient of x^i in prod_c (1 - x^c), over its cycles.
     # This is a test oracle only: rho must never compute its marks this way,
     # or it stops being independent of the lambda route.
+    n = sum(tau)
+    poly = [1] + [0] * n
+    for c in tau:
+        for i in range(n, c - 1, -1):
+            poly[i] -= poly[i - c]
+    return tuple(poly[1:])
+
+
+def test_dp_marks_are_the_coefficients_of_the_cycle_product():
     checked = 0
     for n in range(1, 19):
         for tau in partitions(n):
-            poly = [1] + [0] * n
-            for c in tau:
-                for i in range(n, c - 1, -1):
-                    poly[i] -= poly[i - c]
-            assert _rho_marks(_shape(tau)) == tuple(poly[1:]), tau
+            assert _rho_marks(_shape(tau)) == _cycle_product_marks(tau), tau
             checked += 1
     assert checked == 1596
+
+
+def test_dp_marks_on_both_sides_of_the_packing_gate():
+    # at the gate (64 cycles) the columns are packed into integers, one
+    # cycle past it the list of rows is kept; one length and two
+    g = torus.RHO_PACKED_CYCLES
+    h = g // 2
+    for tau in [(1,) * g, (1,) * (g + 1), (2,) * h + (1,) * h, (2,) * (h + 1) + (1,) * (h + 1)]:
+        assert _rho_marks.__wrapped__(_shape(tau)) == _cycle_product_marks(tau), tau
+
+
+def test_packed_dp_equals_the_list_dp(monkeypatch):
+    # the same marks with every shape packed (gate 10^9) and with none (gate
+    # 0): every cycle type of n <= 14, and random shapes of up to 150 cycles
+    # with up to 4 distinct lengths of at most 5
+    rng = random.Random(1)
+    shapes = [_shape(tau) for n in range(1, 15) for tau in partitions(n)]
+    for _ in range(8):
+        lengths = rng.sample(range(1, 6), rng.randint(1, 4))
+        counts = [rng.randint(1, 150 // len(lengths)) for _ in lengths]
+        shapes.append(tuple(sorted(zip(lengths, counts), reverse=True)))
+    shapes.append(((1, 150),))
+    marks = {}
+    for gate in (0, 10**9):
+        monkeypatch.setattr(torus, "RHO_PACKED_CYCLES", gate)
+        marks[gate] = [_rho_marks.__wrapped__(shape) for shape in shapes]
+    assert marks[0] == marks[10**9]
 
 
 def test_one_restriction_pass_matches_one_call_per_coefficient():
