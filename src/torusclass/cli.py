@@ -12,11 +12,11 @@ Only `lambda`, `rho` and `marks` keep the Schur ring's degree bound:
 they take n up to schur.DEGREE_BOUND (16), and only `marks` builds the
 p(n)^2 table schur.mark_matrix, labelled by partitions(n).  The routes of
 `class` and `verify` are those of torus.ROUTES, and each checks its own
-domain (torus.RHO_COST_BOUND, torus.RECURSION_RANK_BOUND).  A single-route
-`class` call outside it is a usage error.  With every route (`class
---method all`, `verify`), a route outside its domain is skipped with the
-route's own reason; at least two must answer, and _all_routes alone
-compares each answer with the first.
+domain (torus.LAMBDA_COST_BOUND, torus.RHO_COST_BOUND,
+torus.RECURSION_RANK_BOUND).  A single-route `class` call outside it is a
+usage error.  With every route (`class --method all`, `verify`), a route
+outside its domain is skipped with the route's own reason; at least two
+must answer, and _all_routes alone compares each answer with the first.
 
 Each command's flags are declared once, in COMMANDS.  `main` reads a call
 of exactly the form `<command> (--flag value)*` off that table, without
@@ -30,6 +30,10 @@ on the first call that needs it; argparse is not imported before then.
 The `--method` choices are the route names in torus.ROUTES and "all".
 An int flag takes ASCII decimal digits after an optional "-", and nothing
 else that int() would read.
+
+`class` writes its class through _print_class alone, in every format: the
+pieces that torus spells, in batches, never joined whole.  Only the text
+listing of `--method all` prints each route's class as one line.
 
 Exit status: 0 on success, 1 when routes disagree or a verification check
 fails, 2 on usage errors (bad flags, unparsable partitions, bounds exceeded).
@@ -45,44 +49,27 @@ from typing import TYPE_CHECKING
 
 from .combinatorics import _partition_text, is_prime_power, partitions
 from .schur import lambda_standard, mark_matrix, torus_coefficient
-from .torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, point_count_oracle
+from .torus import _LATEX, _TEXT, ROUTES, AlgebraSpec, OutsideDomain, TorusClass, _render
+from .torus import _render_json, point_count_oracle
 
 if TYPE_CHECKING:
     import argparse
 
 
 def _print_class(tc: TorusClass, fmt: str) -> None:
-    """Print tc in the format fmt, 64 KiB at a time: a long output, such as
-    the class of (5000,), would otherwise be encoded into a second copy.
-    JSON is the layout json.dumps(tc.to_json()) prints, built here one
-    piece per nonzero coefficient and written in batches of the pieces,
-    never joined whole.  Every piece is built before the first write, so an
-    integer past the interpreter's limit for printing raises ValueError
-    with nothing written."""
-    step = 1 << 16
-    if fmt != "json":
-        text = tc.latex() if fmt == "latex" else tc.text()
-        for start in range(0, len(text), step):
-            sys.stdout.write(text[start:start + step])
-        sys.stdout.write("\n")
-        return
-    pieces, sep = [f'{{"n": {tc.n}, "coeffs": ['], ""
-    for i, a in enumerate(tc.coeffs):
-        terms = sorted(a.coeffs.items())
-        if terms:
-            artin = ", ".join([f'"{k}": {c}' for k, c in terms])
-            pieces.append(f'{sep}{{"power": {tc.n - i}, "artin": {{{artin}}}}}')
-            sep = ", "
-    pieces.append("]}\n")
-    batch: list[str] = []
-    size = 0
-    for piece in pieces:
-        batch.append(piece)
+    """Print tc in the format fmt from torus's pieces of it, about one per
+    coefficient, in batches of at least 64 KiB: joined whole, a long class
+    such as (5000,)'s would be held twice.  Every piece is built before the
+    first write, so an integer past the interpreter's limit for printing
+    raises ValueError with nothing written."""
+    pieces = _render_json(tc) if fmt == "json" else _render(tc, _LATEX if fmt == "latex" else _TEXT)
+    pieces.append("\n")
+    start = size = 0
+    for end, piece in enumerate(pieces, 1):
         size += len(piece)
-        if size >= step:
-            sys.stdout.write("".join(batch))
-            batch, size = [], 0
-    sys.stdout.write("".join(batch))
+        if size >= 1 << 16 or end == len(pieces):
+            sys.stdout.write("".join(pieces[start:end]))
+            start, size = end, 0
 
 
 def _all_routes(
@@ -91,7 +78,7 @@ def _all_routes(
     """Every route's class of spec, or the OutsideDomain it raised, in ROUTES
     order; the first route that answered; and the routes whose class differs
     from its class.  `class --method all` and `verify` print this verdict.
-    Lambda, which declares no domain, runs last, and only if two can answer."""
+    Lambda runs last, and only if two can answer."""
     results = dict.fromkeys(ROUTES)  # in ROUTES order, filled from the end
     can_answer = len(ROUTES)
     for name in reversed(ROUTES):

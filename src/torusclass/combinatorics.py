@@ -144,16 +144,17 @@ def _partition_text(parts: Partition) -> str:
     return ",".join(map(str, parts))
 
 
-def _join(pieces: list[tuple[int, str]]) -> str:
+def _join(pieces: list[tuple[int, str]], lead: bool = True) -> str:
     """The signed sum "a - b + c" of (sign, body) pieces, where the sign is
-    that of a nonzero int such as the coefficient; "0" for no pieces."""
+    that of a nonzero int such as the coefficient; "0" for no pieces.  With
+    lead false, the rest of a sum already begun: " + a - b + c", or "" for none."""
     out = []
     for sign, body in pieces:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
+        if out or not lead:
+            out.append(f" + {body}" if sign > 0 else f" - {body}")
         else:
-            out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out) or "0"
+            out.append(body if sign > 0 else f"-{body}")
+    return "".join(out) or ("0" if lead else "")
 
 
 def is_prime_power(q: int) -> bool:

@@ -24,6 +24,7 @@ from torusclass.combinatorics import partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import DEGREE_BOUND
 from torusclass.torus import (
+    LAMBDA_COST_BOUND,
     RECURSION_RANK_BOUND,
     RHO_COST_BOUND,
     ROUTES,
@@ -75,8 +76,9 @@ def test_an_output_of_several_pieces_prints_as_one(capsys):
 
 
 def test_json_is_what_json_dumps_prints(capsys):
-    # the class command writes JSON itself, byte for byte as json.dumps
-    # prints to_json(), for every route on all 272 partitions of n <= 12
+    # the class command writes each format from its pieces, byte for byte
+    # as json.dumps prints to_json(), and as text() and latex() join them,
+    # for every route on all 272 partitions of n <= 12
     specs = [AlgebraSpec(parts) for n in range(13) for parts in partitions(n)]
     assert len(specs) == 272
     for spec in specs:
@@ -84,25 +86,29 @@ def test_json_is_what_json_dumps_prints(capsys):
             tc = route(spec)
             cli._print_class(tc, "json")
             assert capsys.readouterr().out == json.dumps(tc.to_json()) + "\n"
+            for fmt, text in [("text", tc.text()), ("latex", tc.latex())]:
+                cli._print_class(tc, fmt)
+                assert capsys.readouterr().out == text + "\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int printing limit")
 def test_json_past_the_int_printing_limit_writes_nothing(capsys):
     # under a limit of 640 digits, 199 coefficients of 601 digits (more than
-    # 64 KiB of JSON) print and a last one of 700 digits does not: every
-    # piece is built before the first write, so nothing is written
+    # 64 KiB in each format) print and a last one of 700 digits does not:
+    # every piece is built before the first write, so nothing is written
     long = [CyclicBurnside({1: 10**600})] * 199
     tc = TorusClass(200, [CyclicBurnside.ONE, *long, CyclicBurnside({1: 10**699})])
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        cli._print_class(TorusClass(199, tc.coeffs[:200]), "json")
-        assert len(capsys.readouterr().out) > 1 << 16
-        with pytest.raises(ValueError):
-            cli._print_class(tc, "json")
+        for fmt in ("json", "text", "latex"):
+            cli._print_class(TorusClass(199, tc.coeffs[:200]), fmt)
+            assert len(capsys.readouterr().out) > 1 << 16
+            with pytest.raises(ValueError):
+                cli._print_class(tc, fmt)
+            assert capsys.readouterr().out == ""
     finally:
         sys.set_int_max_str_digits(limit)
-    assert capsys.readouterr().out == ""
 
 
 def test_class_latex(capsys):
@@ -250,6 +256,16 @@ def test_single_route_outside_its_domain_exits_2_with_its_reason(capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: mark DP estimate 86,466,462,500 > {RHO_COST_BOUND:,}\n"
+
+
+def test_lambda_past_its_counting_estimate_exits_2(capsys):
+    # one prime field of degree 10^14 + 31, declined on the first power's
+    # term before its part is factored; it used to die with MemoryError
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["class", "--partition", "100000000000031", "--method", "lambda"])
+    assert time.perf_counter() - start < 0.1
+    reason = f"counting estimate 100,000,000,000,032 > {LAMBDA_COST_BOUND:,}"
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_a_block_past_the_recursion_rank_bound_exits_2(capsys):

@@ -33,6 +33,7 @@ from torusclass.combinatorics import divisors, partitions
 from torusclass.cyclic import CyclicBurnside
 from torusclass.schur import torus_coefficient
 from torusclass.torus import (
+    LAMBDA_COST_BOUND,
     RECURSION_RANK_BOUND,
     AlgebraSpec,
     OutsideDomain,
@@ -758,6 +759,55 @@ def test_recursion_declines_a_block_past_its_rank_bound(monkeypatch):
     for parts in [(1,) * 13, (7, 7, 1), (13,)]:
         with pytest.raises(OutsideDomain):
             class_via_recursion(AlgebraSpec(parts))
+
+
+def _lambda_estimate(parts):
+    # n + 1 times the cycles of each distinct shape of a power of Frobenius:
+    # at a divisor d of the lcm a part p splits into gcd(p, d) cycles
+    shapes = {
+        _shape([p // math.gcd(p, d) for p in parts for _ in range(math.gcd(p, d))])
+        for d in divisors(*parts)
+    }
+    return (sum(parts) + 1) * sum(c for shape in shapes for _, c in shape)
+
+
+def test_lambda_declines_past_its_counting_estimate(monkeypatch):
+    # the estimate is taken before any counting pass, which fails the test
+    def no_pass(*args):
+        raise AssertionError("a counting pass ran")
+
+    monkeypatch.setattr(torus, "_cycle_counts", no_pass)
+    monkeypatch.setattr(cyclic, "invariant_multiset_counts", no_pass)
+    # one prime field of degree 10^14 + 31: the first power's term, its one
+    # cycle times n + 1, is past the bound alone, so divisors, which would
+    # trial-divide the part for about a second, is never called
+    huge = 100000000000031
+    with monkeypatch.context() as patch:
+        patch.setattr(torus, "divisors", no_pass)
+        start = time.perf_counter()
+        with pytest.raises(OutsideDomain) as excinfo:
+            class_via_lambda(AlgebraSpec((huge,)))
+        assert time.perf_counter() - start < 0.1
+    assert str(excinfo.value) == f"counting estimate {huge + 1:,} > {LAMBDA_COST_BOUND:,}"
+    # one field of degree 10,000: its d-th power has d cycles, one shape per
+    # divisor, so only the whole sum is past the bound
+    assert 10001 < LAMBDA_COST_BOUND < _lambda_estimate((10000,)) == 10001 * sum(divisors(10000))
+    start = time.perf_counter()
+    with pytest.raises(OutsideDomain) as excinfo:
+        class_via_lambda(AlgebraSpec((10000,)))
+    assert time.perf_counter() - start < 0.1
+    assert str(excinfo.value) == f"counting estimate 242,134,211 > {LAMBDA_COST_BOUND:,}"
+    monkeypatch.undo()
+    # the bound is on the sum over distinct shapes: at it the route answers,
+    # one below it not
+    for parts in [(6, 4, 3, 2, 2), (12, 11, 1), (1,) * 12, (13, 11, 7, 5, 3, 2)]:
+        cost = _lambda_estimate(parts)
+        monkeypatch.setattr(torus, "LAMBDA_COST_BOUND", cost)
+        assert class_via_lambda(AlgebraSpec(parts)) == class_via_universal(AlgebraSpec(parts))
+        monkeypatch.setattr(torus, "LAMBDA_COST_BOUND", cost - 1)
+        with pytest.raises(OutsideDomain) as excinfo:
+            class_via_lambda(AlgebraSpec(parts))
+        assert str(excinfo.value) == f"counting estimate {cost:,} > {cost - 1:,}"
 
 
 @pytest.mark.parametrize("t, a", [(1, 400), (2, 200), (5, 80), (6, 40)])
