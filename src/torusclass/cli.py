@@ -31,9 +31,8 @@ The `--method` choices are the route names in torus.ROUTES and "all".
 An int flag takes ASCII decimal digits after an optional "-", and nothing
 else that int() would read.
 
-`class` writes its class through _print_class alone, in every format: the
-pieces that torus spells, in batches, never joined whole.  Only the text
-listing of `--method all` prints each route's class as one line.
+`class` writes every format through _print_class, from the pieces that
+torus spells, in batches, never joined whole.
 
 Exit status: 0 on success, 1 when routes disagree or a verification check
 fails, 2 on usage errors (bad flags, unparsable partitions, bounds exceeded).
@@ -49,8 +48,7 @@ from typing import TYPE_CHECKING
 
 from .combinatorics import _partition_text, is_prime_power, partitions
 from .schur import lambda_standard, mark_matrix, torus_coefficient
-from .torus import _LATEX, _TEXT, ROUTES, AlgebraSpec, OutsideDomain, TorusClass, _render
-from .torus import _render_json, point_count_oracle
+from .torus import ROUTES, AlgebraSpec, OutsideDomain, TorusClass, _pieces, point_count_oracle
 
 if TYPE_CHECKING:
     import argparse
@@ -62,7 +60,7 @@ def _print_class(tc: TorusClass, fmt: str) -> None:
     such as (5000,)'s would be held twice.  Every piece is built before the
     first write, so an integer past the interpreter's limit for printing
     raises ValueError with nothing written."""
-    pieces = _render_json(tc) if fmt == "json" else _render(tc, _LATEX if fmt == "latex" else _TEXT)
+    pieces = _pieces(tc, fmt)
     pieces.append("\n")
     start = size = 0
     for end, piece in enumerate(pieces, 1):

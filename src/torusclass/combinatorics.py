@@ -1,6 +1,7 @@
 """Partitions and their spelling, divisors and prime powers, invariant
-multiset counts, the signed-sum printer, and the integer check and
-immutable base that the value classes share.
+multiset counts, the signed-sum printer, the integer check and immutable
+base that the value classes share, and OutsideDomain, which a computation
+raises for an input past its declared domain.
 
 Partitions are enumerated in lexicographic descending order so that basis
 indexing, JSON output, and cache keys are reproducible across runs.
@@ -8,6 +9,7 @@ indexing, JSON output, and cache keys are reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Mapping
 
@@ -96,10 +98,17 @@ def _prime_powers(n: int):
         yield n, 1
 
 
-def divisors(*orders: int) -> list[int]:
+class OutsideDomain(ValueError):
+    """A computation was asked for an input outside the domain it handles;
+    the message is the reason, such as "mark DP estimate 354,512,640 >
+    10,000,000"."""
+
+
+def divisors(*orders: int, most: int | None = None) -> list[int]:
     """The positive divisors of the lcm of orders, ascending; divisors() is
     [1].  Each distinct order is factored on its own, and each prime keeps
-    its highest power, so the lcm itself is never factored."""
+    its highest power, so the lcm itself is never factored.  With most
+    given, more divisors than that raise OutsideDomain before any is listed."""
     for n in orders:
         _check_int("n", n, 1)
     exponents: dict[int, int] = {}
@@ -107,6 +116,8 @@ def divisors(*orders: int) -> list[int]:
         for p, k in _prime_powers(n):
             if k > exponents.get(p, 0):
                 exponents[p] = k
+    if most is not None and (count := math.prod([k + 1 for k in exponents.values()])) > most:
+        raise OutsideDomain(f"{count:,} divisors > {most:,}")
     out = [1]
     for p, k in exponents.items():
         out += [d * p**j for d in out for j in range(1, k + 1)]

@@ -43,7 +43,8 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .combinatorics import _check_int, _Immutable, _join, divisors, invariant_multiset_counts
+from .combinatorics import OutsideDomain, _check_int, _Immutable, _join, divisors
+from .combinatorics import invariant_multiset_counts
 
 
 class CyclicBurnside(_Immutable):
@@ -201,18 +202,35 @@ class CyclicBurnside(_Immutable):
             out[k // g] = out.get(k // g, 0) + c * g
         return out
 
-    def sigma_series(self, truncation: int) -> list["CyclicBurnside"]:
+    def sigma_series(self, truncation: int, bound: int | None = None) -> list["CyclicBurnside"]:
         """Symmetric powers sigma^0..sigma^truncation, from their marks.
 
         At each divisor d of the lcm of the orbit sizes, the d-th power of
         the generator acts with the cycles of base_change(d), so the marks
         of every sigma^j there are its invariant multiset counts: one
         memoised counting pass per cycle type gives one row of marks, and
-        one call of the mark kernel pulls all the rows back."""
+        one call of the mark kernel pulls all the rows back.
+
+        With a bound, OutsideDomain is raised before any counting pass past
+        it: the cost estimate is truncation + 1 times the cycles of each
+        cycle type, summed; the types are distinct, since the lcm of the
+        lengths at d is L / d.  Its first term, whose cycles are the
+        orbits, is checked alone before any orbit size is factored, and the
+        mark table, truncation + 1 marks per divisor, before the divisors
+        are listed."""
         _check_int("truncation", truncation, 0)
-        divs = divisors(*self._coeffs)
-        counts = [_cycle_counts(tuple(sorted(self._cycles(d).items())), truncation) for d in divs]
-        return self._from_mark_rows(divs, counts)
+        step = truncation + 1
+        if bound is not None:
+            first = step * sum(map(abs, self._coeffs.values()))
+            if first > bound:
+                raise OutsideDomain(f"counting estimate {first:,} > {bound:,}")
+        divs = divisors(*self._coeffs, most=None if bound is None else bound // step)
+        shapes = [tuple(sorted(self._cycles(d).items())) for d in divs]
+        if bound is not None:
+            cost = step * sum([abs(m) for shape in shapes for _, m in shape])
+            if cost > bound:
+                raise OutsideDomain(f"counting estimate {cost:,} > {bound:,}")
+        return self._from_mark_rows(divs, [_cycle_counts(shape, truncation) for shape in shapes])
 
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
@@ -253,10 +271,9 @@ def _cycle_counts(shape: tuple[tuple[int, int], ...], truncation: int) -> tuple[
     """invariant_multiset_counts of the cycles given by shape, sorted
     (length, signed multiplicity) pairs, as a tuple that no caller can
     write.  The cycle types of the powers of Frobenius recur across the
-    inputs of a table, so sigma_series and the lambda route read their rows
-    here; the lambda and norm-one classes of one input share none
-    (norm-one's element has one more fixed point, and its truncation is one
-    less), only Moebius steps."""
+    inputs of a table, so sigma_series reads its rows here; the lambda and
+    norm-one classes of one input share none (norm-one's element has one
+    more fixed point, and its truncation is one less), only Moebius steps."""
     return tuple(invariant_multiset_counts(dict(shape), truncation))
 
 

@@ -15,15 +15,15 @@ extensions, modelled by CyclicBurnside elements via [k] = [Spec F_{q^k}].
 Three independent computations of this polynomial are provided, each an
 AlgebraSpec -> TorusClass function listed once in ROUTES by its CLI name;
 each checks its bounded domain and raises OutsideDomain, with the reason,
-before doing any work:
+before its counting work:
 
 * class_via_lambda: a_i = (-1)^i lambda^i of the class x of Spec L,
   which is sigma^i(-x) because sigma_t(-x) = sigma_t(x)^(-1); the
   coefficients are read straight off the symmetric powers of -x, computed
   mark by mark in the procyclic Burnside ring at the divisors of the lcm
-  of the factor degrees, by the steps of CyclicBurnside.sigma_series; its
-  domain is a cost estimate of the counting passes, read off the shapes
-  they run on, at most LAMBDA_COST_BOUND;
+  of the factor degrees (CyclicBurnside.sigma_series); its domain is a
+  cost estimate of sigma_series' counting passes, at most
+  LAMBDA_COST_BOUND;
 * class_via_universal: a_i is the restriction, along the Frobenius cycle
   type, of a universal element rho_i of the symmetric-group Burnside ring,
   the alternating sum over compositions of i of the sets of tuples of
@@ -48,19 +48,20 @@ Point counting over any extension, and the characteristic polynomial of
 Frobenius on the character lattice, are read off from marks and checked
 against closed-form oracles.
 
-This module spells every class: _render gives the pieces of its text or
-LaTeX, about one per coefficient, that TorusClass.text() and latex() join
-and the CLI writes without joining, and _render_json those of its JSON.
+This module spells every class: _pieces gives its text, LaTeX or JSON in
+pieces, about one per coefficient, that text() and latex() join.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cache, reduce
 from typing import NamedTuple, Sequence
 
-from .combinatorics import _check_int, _Immutable, _join, _partition_text, divisors, is_prime_power
-from .cyclic import CyclicBurnside, _cycle_counts
+from .combinatorics import OutsideDomain, _check_int, _Immutable, _join, _partition_text, divisors
+from .combinatorics import is_prime_power
+from .cyclic import CyclicBurnside
 
 
 def _check_extension(q: int, e: int) -> None:
@@ -154,10 +155,10 @@ class TorusClass(_Immutable):
         return {"n": self.n, "coeffs": entries}
 
     def text(self) -> str:
-        return "".join(_render(self, _TEXT))
+        return "".join(_pieces(self, "text"))
 
     def latex(self) -> str:
-        return "".join(_render(self, _LATEX))
+        return "".join(_pieces(self, "latex"))
 
     def __str__(self) -> str:
         return self.text()
@@ -202,10 +203,21 @@ def _term_body(mag: int, k: int, power: int, dialect: _Dialect) -> str:
     return dialect.times.join(factors)
 
 
-def _render(tc: TorusClass, dialect: _Dialect) -> list[str]:
-    """Pieces, one per coefficient, whose concatenation is tc in dialect;
-    _render_json's, one per nonzero coefficient, make json.dumps(tc.to_json())."""
-    pieces: list[str] = []
+def _pieces(tc: TorusClass, fmt: str) -> list[str]:
+    """Pieces, about one per coefficient, whose concatenation is tc.text(),
+    tc.latex() or json.dumps(tc.to_json()) for fmt "text", "latex" or "json"."""
+    if fmt == "json":
+        pieces, sep = [f'{{"n": {tc.n}, "coeffs": ['], ""
+        for i, a in enumerate(tc.coeffs):
+            terms = sorted(a.coeffs.items())
+            if terms:
+                artin = ", ".join([f'"{k}": {c}' for k, c in terms])
+                pieces.append(f'{sep}{{"power": {tc.n - i}, "artin": {{{artin}}}}}')
+                sep = ", "
+        pieces.append("]}")
+        return pieces
+    dialect = _LATEX if fmt == "latex" else _TEXT
+    pieces = []
     for i, a in enumerate(tc.coeffs):
         power = tc.n - i
         terms = sorted(a.coeffs.items(), reverse=True)
@@ -218,37 +230,24 @@ def _render(tc: TorusClass, dialect: _Dialect) -> list[str]:
     return pieces
 
 
-def _render_json(tc: TorusClass) -> list[str]:
-    pieces, sep = [f'{{"n": {tc.n}, "coeffs": ['], ""
-    for i, a in enumerate(tc.coeffs):
-        terms = sorted(a.coeffs.items())
-        if terms:
-            artin = ", ".join([f'"{k}": {c}' for k, c in terms])
-            pieces.append(f'{sep}{{"power": {tc.n - i}, "artin": {{{artin}}}}}')
-            sep = ", "
-    pieces.append("]}")
-    return pieces
-
-
 def spec_class(spec: AlgebraSpec) -> CyclicBurnside:
     """The zero-dimensional class of Spec L itself: one orbit per factor."""
-    counts: dict[int, int] = {}
-    for p in spec.parts:
-        counts[p] = counts.get(p, 0) + 1
-    return CyclicBurnside(counts)
+    return CyclicBurnside(Counter(spec.parts))
 
 
-class OutsideDomain(ValueError):
-    """A route was asked for an input outside the domain it handles; the
-    message is the reason, such as "mark DP estimate 354,512,640 >
-    10,000,000"."""
+def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
+    """Alternating-power route: a_i = (-1)^i lambda^i([Spec L]), which is
+    sigma^i(-[Spec L]), so the coefficients are the symmetric powers of
+    the opposite class, read off with no change of sign.  Its domain is
+    sigma_series' cost estimate at most LAMBDA_COST_BOUND."""
+    return TorusClass(spec.n, (-spec_class(spec)).sigma_series(spec.n, LAMBDA_COST_BOUND))
 
 
-# The lambda route's domain: the largest cost estimate of its counting
-# passes that it accepts (see class_via_lambda).  At 45-90 ns per unit
-# (Python 3.11, 2-vCPU shared VM) an accepted input finishes within about
-# 9 s; (5000,), at 58,586,715 units the largest input the tests run, takes
-# about 4.5 s.
+# The domain of the lambda route and of norm_one_class: the largest cost
+# estimate of sigma_series' counting passes that they accept.  At 45-90 ns
+# per unit (Python 3.11, 2-vCPU shared VM) an accepted input finishes
+# within about 9 s; (5000,), at 58,586,715 units the largest input the
+# tests run, takes about 4.5 s.
 LAMBDA_COST_BOUND = 10**8
 # The rho route's domain: the largest cost estimate of its dynamic program
 # that it accepts (see class_via_universal).  At 80-170 ns per unit of the
@@ -265,29 +264,6 @@ RHO_PACKED_CYCLES = 64
 # Its depth is about log2 a plus the prime factors of t, far inside the
 # frame limit, so the bound awaits a time estimate: (360,) takes 13-16 s.
 RECURSION_RANK_BOUND = 400
-
-
-def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
-    """Alternating-power route: a_i = (-1)^i lambda^i([Spec L]), which is
-    sigma^i(-[Spec L]), so the coefficients are the symmetric powers of
-    the opposite class, read off with no change of sign.
-
-    The coefficients are those of sigma_series, whose steps this route
-    takes itself, so that its domain reads the shapes the counting passes
-    run on: a cost estimate of the passes, taken before any of them runs,
-    n + 1 times the cycles of each distinct shape of a power of Frobenius,
-    summed, at most LAMBDA_COST_BOUND.  The first power's cycles are the
-    parts, so its term is checked before divisors factors any part, and an
-    input past the bound on that term alone is declined with it."""
-    n, x = spec.n, -spec_class(spec)
-    cost = (n + 1) * len(spec.parts)
-    if cost <= LAMBDA_COST_BOUND:
-        divs = divisors(*spec.parts)
-        shapes = [tuple(sorted(x._cycles(d).items())) for d in divs]
-        cost = (n + 1) * -sum(m for shape in set(shapes) for _, m in shape)
-    if cost > LAMBDA_COST_BOUND:
-        raise OutsideDomain(f"counting estimate {cost:,} > {LAMBDA_COST_BOUND:,}")
-    return TorusClass(n, x._from_mark_rows(divs, [_cycle_counts(s, n) for s in shapes]))
 
 
 @cache
@@ -400,11 +376,13 @@ def norm_one_class(spec: AlgebraSpec) -> TorusClass:
     """Class of the norm-one subtorus: degree n - 1, with coefficients
     (-1)^i lambda^i([Spec L] - 1) = sigma^i(1 - [Spec L]), read off the
     symmetric powers of 1 - [Spec L].  Multiplying by L - 1 recovers the
-    full unit torus."""
+    full unit torus.  Its domain is that of class_via_lambda, on the
+    element and truncation it takes."""
     n = spec.n
     if n < 1:
         raise ValueError("norm-one subtorus needs n >= 1")
-    return TorusClass(n - 1, (CyclicBurnside.ONE - spec_class(spec)).sigma_series(n - 1))
+    x = CyclicBurnside.ONE - spec_class(spec)
+    return TorusClass(n - 1, x.sigma_series(n - 1, LAMBDA_COST_BOUND))
 
 
 def point_count_oracle(spec: AlgebraSpec, q: int, e: int) -> int:
@@ -507,9 +485,7 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
     of a product are the product of the units: k blocks make k - 1 calls
     of _product besides their powers; the zero algebra is the point's (0, 1, 1)."""
-    blocks: dict[int, int] = {}
-    for t in spec.parts:
-        blocks[t] = blocks.get(t, 0) + 1
+    blocks = Counter(spec.parts)
     rank = max((t * a for t, a in blocks.items()), default=0)
     if rank > RECURSION_RANK_BOUND:
         raise OutsideDomain(f"isotypic block rank {rank:,} > {RECURSION_RANK_BOUND:,}")
@@ -518,7 +494,7 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
 
 
 # The routes by CLI name.  Each takes an AlgebraSpec and returns its
-# TorusClass, or raises OutsideDomain before doing any work.  The CLI
+# TorusClass, or raises OutsideDomain before its counting work.  The CLI
 # takes the names, with "all", as its `--method` choices when it is
 # imported.
 ROUTES = {

@@ -773,22 +773,34 @@ def _lambda_estimate(parts):
 
 def test_lambda_declines_past_its_counting_estimate(monkeypatch):
     # the estimate is taken before any counting pass, which fails the test
-    def no_pass(*args):
+    def no_pass(*args, **kwargs):
         raise AssertionError("a counting pass ran")
 
-    monkeypatch.setattr(torus, "_cycle_counts", no_pass)
+    monkeypatch.setattr(cyclic, "_cycle_counts", no_pass)
     monkeypatch.setattr(cyclic, "invariant_multiset_counts", no_pass)
     # one prime field of degree 10^14 + 31: the first power's term, its one
     # cycle times n + 1, is past the bound alone, so divisors, which would
-    # trial-divide the part for about a second, is never called
+    # trial-divide the part for about a second, is never called; the
+    # norm-one class declines it the same way, on two orbits times n
     huge = 100000000000031
     with monkeypatch.context() as patch:
-        patch.setattr(torus, "divisors", no_pass)
-        start = time.perf_counter()
-        with pytest.raises(OutsideDomain) as excinfo:
-            class_via_lambda(AlgebraSpec((huge,)))
-        assert time.perf_counter() - start < 0.1
-    assert str(excinfo.value) == f"counting estimate {huge + 1:,} > {LAMBDA_COST_BOUND:,}"
+        patch.setattr(cyclic, "divisors", no_pass)
+        for route, first in [(class_via_lambda, huge + 1), (norm_one_class, 2 * huge)]:
+            start = time.perf_counter()
+            with pytest.raises(OutsideDomain) as excinfo:
+                route(AlgebraSpec((huge,)))
+            assert time.perf_counter() - start < 0.1
+            assert str(excinfo.value) == f"counting estimate {first:,} > {LAMBDA_COST_BOUND:,}"
+    # the 25 primes below 100, n = 1060: the first term is 1061 * 25, but
+    # the lcm has 2^25 divisors, each a row of 1061 marks, declined from the
+    # exponents before any divisor is listed
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    assert (len(primes), sum(primes)) == (25, 1060)
+    start = time.perf_counter()
+    with pytest.raises(OutsideDomain) as excinfo:
+        class_via_lambda(AlgebraSpec(tuple(reversed(primes))))
+    assert time.perf_counter() - start < 0.1
+    assert str(excinfo.value) == f"{2**25:,} divisors > {LAMBDA_COST_BOUND // 1061:,}"
     # one field of degree 10,000: its d-th power has d cycles, one shape per
     # divisor, so only the whole sum is past the bound
     assert 10001 < LAMBDA_COST_BOUND < _lambda_estimate((10000,)) == 10001 * sum(divisors(10000))
