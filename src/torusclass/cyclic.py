@@ -14,17 +14,11 @@ e (fixed points of the e-th power of the generator) is the number of
 points over the degree-e extension.  This dictionary loses no information
 because the acting group is procyclic, so marks separate elements.
 
-Symmetric powers are computed one mark at a time (sigma_series).  An
-element whose orbit sizes all divide L, and each of its symmetric powers,
-is fixed by the L-th power of the generator, so it is determined by its
-marks at the divisors of L.  The d-th power of the generator splits the
-element into cycles (its base change along d), and the invariant
-multisets of a permutation are counted by an integer series, virtual
-elements included: one counting pass per cycle type, memoised by its
-sorted (length, multiplicity) pairs and the truncation (_cycle_counts),
-since the cycle types of powers of Frobenius recur across elements.
-Nothing is materialized.  Alternating powers need no second series:
-sigma_t(-x) = sigma_t(x)^(-1) gives lambda^i(x) = (-1)^i sigma^i(-x).
+The lambda and norm-one routes build each row of marks as one closed
+product, a single integer of fixed-width fields (torus._lambda_rows), and
+the kernel below runs its Moebius steps on such integers as they are
+while one field of at most 8 bytes holds every mark (_unpack reads them
+back).
 
 Every route pulls marks back the same way, through one kernel
 (_from_mark_rows), once per class: the marks at the divisors of L are a
@@ -39,12 +33,12 @@ depend on the divisors only, so they are listed once per divisor list
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .combinatorics import OutsideDomain, _check_int, _Immutable, _join, divisors
-from .combinatorics import invariant_multiset_counts
+from .combinatorics import _check_int, _Immutable, _join
 
 
 class CyclicBurnside(_Immutable):
@@ -159,27 +153,38 @@ class CyclicBurnside(_Immutable):
 
     @classmethod
     def _from_mark_rows(
-        cls, divs: list[int], rows: Sequence[Sequence[int]]
+        cls, divs: list[int], rows: Sequence, packed: tuple[int, int] | None = None
     ) -> list["CyclicBurnside"]:
         """Recover elements from their marks at the ascending divisors divs
         of an order L: rows[j][i] is the mark of element i at divs[j].
         Callers build divs themselves, so no key is checked; an inconsistent
         vector shows up as a non-integral division and raises ValueError.
         Rows may be tuples shared with a memo table: none is written to.
+        With packed = (size, count), each row is instead one integer whose
+        count signed size-byte fields hold the marks, lowest first (see
+        _unpack), and size is 1, 2, 4 or 8 and holds every mark and every
+        Moebius intermediate.
 
         The marks are fix(d) = sum_{k | d} g(k) with g(k) = k a_k, a zeta
         transform over the divisor lattice.  It is inverted one prime p of
         L at a time, row by row: g(d) -= g(d / p) over the divisors in
         decreasing order, each step a fresh row (_moebius_steps lists the
-        steps once per divisor list).  Then one pass over the divisors in
-        ascending order divides each nonzero g(d) by d and writes a_d
-        straight into its element's dict.  g(d) is the numerator that an
-        inversion by increasing d would meet, so a vector with a
+        steps once per divisor list), or one integer subtraction on packed
+        rows, each then read back by one memoryview cast.  Then one pass over
+        the divisors in ascending order divides each nonzero g(d) by d and
+        writes a_d straight into its element's dict.  g(d) is the numerator
+        that an inversion by increasing d would meet, so a vector with a
         non-integral a_d is rejected at the same first d.
         """
         g = list(rows)
-        for j, i in _moebius_steps(tuple(divs)):
-            g[j] = [x - y for x, y in zip(g[j], g[i])]
+        steps = _moebius_steps(tuple(divs))
+        if packed:
+            for j, i in steps:
+                g[j] -= g[i]
+            g = _unpack(g, *packed)
+        else:
+            for j, i in steps:
+                g[j] = [x - y for x, y in zip(g[j], g[i])]
         coeffs: list[dict[int, int]] = [{} for _ in g[0]]
         for d, row in zip(divs, g):
             for acc, num in zip(coeffs, row):
@@ -193,44 +198,11 @@ class CyclicBurnside(_Immutable):
     def base_change(self, d: int) -> "CyclicBurnside":
         """Restriction to the index-d subgroup: [k] -> gcd(d, k) [k / gcd(d, k)]."""
         _check_int("d", d, 1)
-        return CyclicBurnside._trusted({k: m for k, m in self._cycles(d).items() if m})
-
-    def _cycles(self, d: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for k, c in self._coeffs.items():
             g = math.gcd(d, k)
             out[k // g] = out.get(k // g, 0) + c * g
-        return out
-
-    def sigma_series(self, truncation: int, bound: int | None = None) -> list["CyclicBurnside"]:
-        """Symmetric powers sigma^0..sigma^truncation, from their marks.
-
-        At each divisor d of the lcm of the orbit sizes, the d-th power of
-        the generator acts with the cycles of base_change(d), so the marks
-        of every sigma^j there are its invariant multiset counts: one
-        memoised counting pass per cycle type gives one row of marks, and
-        one call of the mark kernel pulls all the rows back.
-
-        With a bound, OutsideDomain is raised before any counting pass past
-        it: the cost estimate is truncation + 1 times the cycles of each
-        cycle type, summed; the types are distinct, since the lcm of the
-        lengths at d is L / d.  Its first term, whose cycles are the
-        orbits, is checked alone before any orbit size is factored, and the
-        mark table, truncation + 1 marks per divisor, before the divisors
-        are listed."""
-        _check_int("truncation", truncation, 0)
-        step = truncation + 1
-        if bound is not None:
-            first = step * sum(map(abs, self._coeffs.values()))
-            if first > bound:
-                raise OutsideDomain(f"counting estimate {first:,} > {bound:,}")
-        divs = divisors(*self._coeffs, most=None if bound is None else bound // step)
-        shapes = [tuple(sorted(self._cycles(d).items())) for d in divs]
-        if bound is not None:
-            cost = step * sum([abs(m) for shape in shapes for _, m in shape])
-            if cost > bound:
-                raise OutsideDomain(f"counting estimate {cost:,} > {bound:,}")
-        return self._from_mark_rows(divs, [_cycle_counts(shape, truncation) for shape in shapes])
+        return CyclicBurnside._trusted({k: m for k, m in out.items() if m})
 
     def to_json(self) -> dict[str, int]:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
@@ -266,15 +238,32 @@ def _moebius_steps(divs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-@cache
-def _cycle_counts(shape: tuple[tuple[int, int], ...], truncation: int) -> tuple[int, ...]:
-    """invariant_multiset_counts of the cycles given by shape, sorted
-    (length, signed multiplicity) pairs, as a tuple that no caller can
-    write.  The cycle types of the powers of Frobenius recur across the
-    inputs of a table, so sigma_series reads its rows here; the lambda and
-    norm-one classes of one input share none (norm-one's element has one
-    more fixed point, and its truncation is one less), only Moebius steps."""
-    return tuple(invariant_multiset_counts(dict(shape), truncation))
+# struct formats of the signed field sizes that one memoryview cast reads
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _unpack(rows: list[int], size: int, count: int) -> list[Sequence[int]]:
+    """The count fields f_0, f_1, ... of each row = sum_i f_i 2^(8 size i),
+    each signed with |f_i| < 2^(8 size - 1).  Adding the bias b, which is
+    2^(8 size - 1) in every field, makes field i f_i + 2^(8 size - 1), with
+    no carry; xor with b then leaves each f_i in two's complement, which
+    one memoryview cast per row reads for a size of 1, 2, 4 or 8 bytes (in
+    native byte order: big-endian bytes hold the fields last first)."""
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    fmt = _FORMATS.get(size)
+    out: list[Sequence[int]] = []
+    for row in rows:
+        biased = (row + bias) ^ bias
+        if fmt is None:
+            data = biased.to_bytes(size * count, "little")
+            out.append([
+                int.from_bytes(data[s : s + size], "little", signed=True)
+                for s in range(0, len(data), size)
+            ])
+        else:
+            fields = memoryview(biased.to_bytes(size * count, sys.byteorder)).cast(fmt)
+            out.append(fields if sys.byteorder == "little" else fields[::-1])
+    return out
 
 
 CyclicBurnside.ZERO = CyclicBurnside()

@@ -19,11 +19,15 @@ before its counting work:
 
 * class_via_lambda: a_i = (-1)^i lambda^i of the class x of Spec L,
   which is sigma^i(-x) because sigma_t(-x) = sigma_t(x)^(-1); the
-  coefficients are read straight off the symmetric powers of -x, computed
-  mark by mark in the procyclic Burnside ring at the divisors of the lcm
-  of the factor degrees (CyclicBurnside.sigma_series); its domain is a
-  cost estimate of sigma_series' counting passes, at most
-  LAMBDA_COST_BOUND;
+  coefficients are read straight off the symmetric powers of -x, whose
+  marks at a divisor d of the lcm of the factor degrees are the
+  coefficients of one polynomial of degree n, prod_j (1 - X^(n_j/g_j))^g_j
+  with g_j = gcd(n_j, d), built as one integer of fixed-width fields by
+  Kronecker substitution (_lambda_rows); the rows go through the mark
+  kernel packed while one field of at most 8 bytes holds them, as lists
+  past that; its domain is a cost estimate, at most LAMBDA_COST_BOUND.
+  The norm-one class (norm_one_class) takes the same rows, divided by
+  1 - X, under the same bound;
 * class_via_universal: a_i is the restriction, along the Frobenius cycle
   type, of a universal element rho_i of the symmetric-group Burnside ring,
   the alternating sum over compositions of i of the sets of tuples of
@@ -61,7 +65,7 @@ from typing import NamedTuple, Sequence
 
 from .combinatorics import OutsideDomain, _check_int, _Immutable, _join, _partition_text, divisors
 from .combinatorics import is_prime_power
-from .cyclic import CyclicBurnside
+from .cyclic import CyclicBurnside, _unpack
 
 
 def _check_extension(q: int, e: int) -> None:
@@ -238,16 +242,114 @@ def spec_class(spec: AlgebraSpec) -> CyclicBurnside:
 def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
     """Alternating-power route: a_i = (-1)^i lambda^i([Spec L]), which is
     sigma^i(-[Spec L]), so the coefficients are the symmetric powers of
-    the opposite class, read off with no change of sign.  Its domain is
-    sigma_series' cost estimate at most LAMBDA_COST_BOUND."""
-    return TorusClass(spec.n, (-spec_class(spec)).sigma_series(spec.n, LAMBDA_COST_BOUND))
+    the opposite class, read off with no change of sign, from their marks
+    as closed products (_lambda_rows).  Its domain is a cost estimate at
+    most LAMBDA_COST_BOUND."""
+    return TorusClass(spec.n, CyclicBurnside._from_mark_rows(*_lambda_rows(spec, False)))
+
+
+def _lambda_rows(spec: AlgebraSpec, norm_one: bool) -> tuple[list[int], list, tuple | None]:
+    """The (divs, rows, packed) arguments of CyclicBurnside._from_mark_rows
+    for the lambda class, or with norm_one the norm-one class: the marks of
+    sigma^0..sigma^m of x = -[Spec L] (m = n), or of 1 - [Spec L]
+    (m = n - 1), at the divisors d of L = lcm(parts).
+
+    At d a part n_j splits into g_j = gcd(n_j, d) cycles of length
+    n_j / g_j, so the marks are the coefficients of the polynomial
+    prod_j (1 - X^(n_j / g_j))^(g_j), over 1 - X for norm-one, of degree
+    exactly m and with each coefficient at most 2^c in size for the
+    c = sum_j g_j <= n cycles; _closed_row builds it as one integer.  When
+    one field of 1, 2, 4 or 8 bytes holds n + bit_length(D) + 1 bits, for D
+    divisors, it holds every mark and every intermediate of the kernel's
+    Moebius steps, which at most double a mark once per prime of L, and
+    the rows are handed over packed at that width; otherwise each row is
+    built at c + 2 bits, rounded up to bytes, and unpacked at once.
+
+    The domain is a cost estimate, at most LAMBDA_COST_BOUND: m + 1 times
+    the cycles of each power type of x, summed over the divisors.  Its
+    first term, the orbits, is checked before any part is factored, and
+    the number of divisors before any is listed."""
+    bound, count = LAMBDA_COST_BOUND, spec.n + (0 if norm_one else 1)
+    # minus the element, by orbit size: each orbit k of it raises the
+    # exponent of 1 - X^(k / g) by g at d, for g = gcd(k, d)
+    minus: dict[int, int] = {}
+    for k in spec.parts:
+        minus[k] = minus.get(k, 0) + 1
+    if norm_one:
+        minus[1] = minus.get(1, 0) - 1
+    first = count * sum(map(abs, minus.values()))
+    if first > bound:
+        raise OutsideDomain(f"counting estimate {first:,} > {bound:,}")
+    divs = divisors(*minus, most=bound // count)
+    shapes = []
+    for d in divs:
+        powers: dict[int, int] = {}
+        for k, m in minus.items():
+            g = math.gcd(k, d)
+            powers[k // g] = powers.get(k // g, 0) + m * g
+        shapes.append(powers)
+    cost = count * sum([abs(e) for powers in shapes for e in powers.values()])
+    if cost > bound:
+        raise OutsideDomain(f"counting estimate {cost:,} > {bound:,}")
+    width = spec.n + len(divs).bit_length() + 1
+    if width <= 64:
+        size = next(size for size in (1, 2, 4, 8) if 8 * size >= width)
+        return divs, [_closed_row(powers, size) for powers in shapes], (size, count)
+    rows = []
+    for powers in shapes:
+        size = (sum(map(abs, powers.values())) + 9) // 8
+        rows += _unpack([_closed_row(powers, size)], size, count)
+    return divs, rows, None
+
+
+def _closed_row(powers: dict[int, int], size: int) -> int:
+    """prod_c (1 - X^c)^e over the cycle lengths c with exponent e = powers[c],
+    a polynomial, at X = 2^(8 size): one integer whose size-byte fields are
+    its coefficients, which size must hold as signed numbers.  Only
+    powers[1] may be negative, and only -1: a norm-one row at a divisor
+    that no part divides, divided by 1 - X exactly, in the factor of the
+    least other length c, as (1 - X^c) / (1 - X) = 1 + X + ... + X^(c - 1)."""
+    least = min([c for c, e in powers.items() if e > 0]) if powers.get(1) == -1 else 0
+    row = 1
+    for c, e in powers.items():
+        if c == least:
+            row *= _binomial_power(c, e - 1, size, c)
+        elif e == 1:  # one shift and subtract, not a product
+            row -= row << (8 * size * c)
+        elif e > 1:
+            row *= _binomial_power(c, e, size)
+    return row
+
+
+def _binomial_power(c: int, g: int, size: int, run: int = 1) -> int:
+    """(1 - X^c)^g (1 + X + ... + X^(run - 1)) at X = 2^(8 size), for
+    run <= c: its fields are (-1)^k C(g, k) at c k, ..., c k + run - 1.  By
+    pow while its packed size, (c g + run) size bytes, is at most
+    LAMBDA_POW_BYTES; past it, from the binomial coefficients, as one
+    packing of the even terms less one of the odd."""
+    if (c * g + run) * size <= LAMBDA_POW_BYTES:
+        power = (1 - (1 << (8 * size * c))) ** g
+        if run == 1:
+            return power
+        return power * int.from_bytes((b"\x01" + bytes(size - 1)) * run, "little")
+    terms, b = [], 1
+    for k in range(g + 1):
+        terms.append(b.to_bytes(size, "little") * run)
+        b = b * (g - k) // (k + 1)
+    gap = bytes(size * (2 * c - run))
+    even = int.from_bytes(gap.join(terms[::2]), "little")
+    return even - (int.from_bytes(gap.join(terms[1::2]), "little") << (8 * size * c))
 
 
 # The domain of the lambda route and of norm_one_class: the largest cost
-# estimate of sigma_series' counting passes that they accept.  At 45-90 ns
-# per unit (Python 3.11, 2-vCPU shared VM) an accepted input finishes
-# within about 9 s; (5000,), at 58,586,715 units the largest input the
-# tests run, takes about 4.5 s.
+# estimate that they accept, the marks per row (n + 1, or n for norm-one)
+# times the cycles of every power type, summed over the rows.  A unit took
+# 1.6-1.8 ns on a single field or repeated parts, where a few wide rows
+# dominate ((5000,), at 58,586,715 units the largest input the tests run,
+# 0.10 s; (2,)*4000, at 96,012,000, 0.16 s), and about 12 ns on many
+# fields of prime degree, where thousands of short rows go through the
+# kernel as lists ((37,31,...,2), at 84,750,336, 1.0 s) (Python 3.11,
+# 2-vCPU shared VM); so an accepted input finishes within about 1.5 s.
 LAMBDA_COST_BOUND = 10**8
 # The rho route's domain: the largest cost estimate of its dynamic program
 # that it accepts (see class_via_universal).  At 80-170 ns per unit of the
@@ -255,6 +357,12 @@ LAMBDA_COST_BOUND = 10**8
 # than RHO_PACKED_CYCLES cycles keeps, an accepted input finishes within
 # about 1.5 s; a packed shape runs faster than its estimate.
 RHO_COST_BOUND = 10**7
+# The largest packed size, in bytes, of a factor (1 - X^c)^g of a lambda or
+# norm-one row that _binomial_power makes by pow, not from its binomials.
+# pow took 0.3x their time at (c, g) = (1, 62) in 504 bytes and about 1x at
+# (30, 8) in 482; past 1 KB the binomials were 1.2-45x faster, from (1, 100)
+# in 1,313 bytes to (1000, 2) in 16,008 (Python 3.11, 2-vCPU shared VM).
+LAMBDA_POW_BYTES = 512
 # The most cycles of a shape whose counts _rho_marks packs into integers.
 # Packing took (1,)*64 to 0.6-0.85x of the list of rows, but (1,)*100 to
 # 1.06x, (1,)*200 to 1.6x and (2,)*100 to 2.3x (Python 3.11, 2-vCPU shared
@@ -357,6 +465,9 @@ def class_via_universal(spec: AlgebraSpec) -> TorusClass:
     them runs: n c^2 / 2 summed over the distinct shapes with c cycles,
     at most RHO_COST_BOUND."""
     n = spec.n
+    # the shape at d = L, n cycles of length 1, alone costs n^3 / 2
+    if (first := n**3 // 2) > RHO_COST_BOUND:
+        raise OutsideDomain(f"mark DP estimate {first:,} > {RHO_COST_BOUND:,}")
     divs = divisors(*spec.parts)
     shapes = []
     for d in divs:
@@ -376,13 +487,11 @@ def norm_one_class(spec: AlgebraSpec) -> TorusClass:
     """Class of the norm-one subtorus: degree n - 1, with coefficients
     (-1)^i lambda^i([Spec L] - 1) = sigma^i(1 - [Spec L]), read off the
     symmetric powers of 1 - [Spec L].  Multiplying by L - 1 recovers the
-    full unit torus.  Its domain is that of class_via_lambda, on the
-    element and truncation it takes."""
-    n = spec.n
-    if n < 1:
+    full unit torus.  Its rows and domain are those of class_via_lambda
+    (_lambda_rows), on the element and truncation it takes."""
+    if spec.n < 1:
         raise ValueError("norm-one subtorus needs n >= 1")
-    x = CyclicBurnside.ONE - spec_class(spec)
-    return TorusClass(n - 1, x.sigma_series(n - 1, LAMBDA_COST_BOUND))
+    return TorusClass(spec.n - 1, CyclicBurnside._from_mark_rows(*_lambda_rows(spec, True)))
 
 
 def point_count_oracle(spec: AlgebraSpec, q: int, e: int) -> int:
@@ -485,7 +594,9 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
     of a product are the product of the units: k blocks make k - 1 calls
     of _product besides their powers; the zero algebra is the point's (0, 1, 1)."""
-    blocks = Counter(spec.parts)
+    blocks: dict[int, int] = {}
+    for t in spec.parts:
+        blocks[t] = blocks.get(t, 0) + 1
     rank = max((t * a for t, a in blocks.items()), default=0)
     if rank > RECURSION_RANK_BOUND:
         raise OutsideDomain(f"isotypic block rank {rank:,} > {RECURSION_RANK_BOUND:,}")

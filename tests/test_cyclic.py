@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.counting import lambda_from_sigma, sigma_from_lambda
-from oracles.cyclic import from_mark_list, from_marks, induce, lambda_series
+from oracles.cyclic import from_mark_list, from_marks, induce, lambda_series, sigma_series
 from oracles.gsets import (
     FiniteGSet,
     cyclic_decomposition,
@@ -16,9 +16,8 @@ from oracles.gsets import (
     product,
     symmetric_power,
 )
-from torusclass.combinatorics import divisors, invariant_multiset_counts, partitions
-from torusclass.cyclic import CyclicBurnside, _cycle_counts, _moebius_steps
-from torusclass.torus import AlgebraSpec, class_via_lambda, norm_one_class
+from torusclass.combinatorics import divisors, partitions
+from torusclass.cyclic import CyclicBurnside
 
 
 def _random_element(rng, max_orbit=8, span=3):
@@ -271,7 +270,7 @@ def test_projection_formula():
 
 def test_sigma_series_examples():
     three = CyclicBurnside.orbit(3)
-    assert three.sigma_series(3) == [
+    assert sigma_series(three, 3) == [
         CyclicBurnside.ONE,
         three,
         2 * three,
@@ -303,40 +302,7 @@ def test_sigma_series_matches_materialized_symmetric_powers():
             expected = [
                 cyclic_decomposition(symmetric_power(base, j)) for j in range(7)
             ]
-            assert x.sigma_series(6) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.dictionaries(st.integers(1, 8), st.integers(-4, 4), max_size=6),
-    st.integers(0, 12),
-    st.randoms(use_true_random=False),
-)
-def test_memoised_counting_pass_is_the_counting_pass(cycles, truncation, rng):
-    # sigma_series keys the table by the sorted (length, multiplicity)
-    # pairs, zeros included, so a cycle map in any key order finds one row
-    items = list(cycles.items())
-    rng.shuffle(items)
-    row = _cycle_counts(tuple(sorted(items)), truncation)
-    assert list(row) == invariant_multiset_counts(dict(items), truncation)
-    assert _cycle_counts(tuple(sorted(cycles.items())), truncation) is row
-    with pytest.raises(TypeError):
-        row[0] = 0
-
-
-def test_counting_and_moebius_tables_are_shared_across_a_table():
-    # lambda, then norm-one, over the 22 partitions of 8: the cycle types
-    # of the powers of Frobenius recur across inputs and routes, and the
-    # orders have 11 distinct lcms
-    _cycle_counts.cache_clear()
-    _moebius_steps.cache_clear()
-    specs = [AlgebraSpec(p) for p in partitions(8)]
-    for route in (class_via_lambda, norm_one_class):
-        for spec in specs:
-            route(spec)
-    counts = _cycle_counts.cache_info()
-    assert (counts.misses, counts.hits) == (44, 90)
-    assert _moebius_steps.cache_info().misses == 11
+            assert sigma_series(x, 6) == expected
 
 
 def _series_product(a, b):
@@ -359,7 +325,7 @@ def test_lambda_series_is_multiplicative_in_the_element(x, y):
 def test_sigma_series_is_multiplicative_in_the_element(x, y):
     # sigma_t(x + y) = sigma_t(x) sigma_t(y), coefficientwise
     n = 6
-    assert _series_product(x.sigma_series(n), y.sigma_series(n)) == (x + y).sigma_series(n)
+    assert _series_product(sigma_series(x, n), sigma_series(y, n)) == sigma_series(x + y, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,14 +334,14 @@ def test_sigma_series_of_the_opposite_is_the_inverse_series(x):
     # sigma_t(-x) = sigma_t(x)^(-1): the identity the lambda and norm-one
     # routes read their coefficients off
     n = 6
-    assert _series_product(x.sigma_series(n), (-x).sigma_series(n)) == [1] + [0] * n
+    assert _series_product(sigma_series(x, n), sigma_series(-x, n)) == [1] + [0] * n
 
 
 def test_series_truncation_must_be_a_nonnegative_int():
     two = CyclicBurnside.orbit(2)
-    assert two.sigma_series(0) == lambda_series(two, 0) == [CyclicBurnside.ONE]
+    assert sigma_series(two, 0) == lambda_series(two, 0) == [CyclicBurnside.ONE]
     for bad in (True, 2.0, -1):
-        for series in (two.sigma_series, lambda m: lambda_series(two, m)):
+        for series in (lambda m: sigma_series(two, m), lambda m: lambda_series(two, m)):
             with pytest.raises(ValueError, match="truncation"):
                 series(bad)
 
@@ -400,7 +366,7 @@ def test_lambda_series_marks_match_the_sigma_to_lambda_recursion(x, m):
     # lambda^j is read off the symmetric powers of -x; at every divisor
     # its mark must be what the recursion makes of the marks of sigma(x)
     lams = lambda_series(x, m)
-    sigmas = x.sigma_series(m)
+    sigmas = sigma_series(x, m)
     assert len(lams) == len(sigmas) == m + 1
     for d in divisors(math.lcm(*x.coeffs)):
         assert [lam.mark(d) for lam in lams] == lambda_from_sigma([s.mark(d) for s in sigmas])
@@ -414,7 +380,7 @@ def test_sigma_lambda_roundtrip_on_virtual_elements():
     ]
     cases += [_random_element(rng, max_orbit=4, span=1) for _ in range(10)]
     for x in cases:
-        assert sigma_from_lambda(lambda_series(x, 8)) == x.sigma_series(8)
+        assert sigma_from_lambda(lambda_series(x, 8)) == sigma_series(x, 8)
 
 
 def test_equality_and_coercion():

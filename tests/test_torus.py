@@ -29,8 +29,8 @@ from oracles.gsets import (
 )
 from oracles.schur import restrict, tuple_set_class
 from torusclass import cli, combinatorics, cyclic, schur, torus
-from torusclass.combinatorics import divisors, partitions
-from torusclass.cyclic import CyclicBurnside
+from torusclass.combinatorics import divisors, invariant_multiset_counts, partitions
+from torusclass.cyclic import CyclicBurnside, _moebius_steps, _unpack
 from torusclass.schur import torus_coefficient
 from torusclass.torus import (
     LAMBDA_COST_BOUND,
@@ -38,6 +38,7 @@ from torusclass.torus import (
     AlgebraSpec,
     OutsideDomain,
     TorusClass,
+    _lambda_rows,
     _rho_marks,
     _stratum_types,
     _units_of_type,
@@ -712,25 +713,28 @@ def test_rho_answers_and_agrees_or_declines_fast(parts):
     assert tc == class_via_lambda(spec) == class_via_recursion(spec)
 
 
-def test_rho_declines_a_huge_field_without_building_its_power_types():
-    # the d-th power of a (10^20 - 1)-cycle is d cycles of length n / d, one
-    # distinct type per divisor d, so the estimate is n * sum(d^2) / 2; a
-    # type spelt out would have up to 10^20 entries
-    n = 10**20 - 1
-    estimate = n * sum(d * d for d in divisors(n)) // 2
-    # two fields of prime degree near 10^8, whose powers have 2, p + 1,
-    # q + 1 and p + q cycles: trial division of the lcm p q would run to
-    # 10^8, but each part on its own stops at its square root
+def test_rho_declines_a_huge_field_without_building_its_power_types(monkeypatch):
+    # the shape at d = L, n cycles of length 1, alone makes the estimate at
+    # least n^3 / 2, so past the bound rho declines before it lists a
+    # divisor: a (10^20 - 1)-cycle, whose 384 power types would have up to
+    # 10^20 cycles; two fields of prime degree near 10^8; one of degree
+    # 10^14 + 31, which would be trial-divided for over a second; and the
+    # 25 primes below 100, whose lcm has 2^25 divisors
+    def no_divisors(*args, **kwargs):
+        raise AssertionError("divisors were listed")
+
+    monkeypatch.setattr(torus, "divisors", no_divisors)
     p, q = 100000007, 99999989
-    two_primes = (p + q) * (2**2 + (p + 1) ** 2 + (q + 1) ** 2 + (p + q) ** 2) // 2
+    primes = tuple(p for p in range(97, 1, -1) if all(p % d for d in range(2, p)))
+    assert (len(primes), sum(primes)) == (25, 1060)
     # pinned: the estimate does not depend on how the divisors are found
-    assert f"{two_primes:,}" == "5,999,999,680,000,022,399,999,632"
-    for parts, cost in [((n,), estimate), ((p, q), two_primes)]:
+    assert f"{(p + q) ** 3 // 2:,}" == "3,999,999,760,000,004,799,999,968"
+    for parts in [(10**20 - 1,), (p, q), (100000000000031,), primes]:
         start = time.perf_counter()
         with pytest.raises(OutsideDomain) as excinfo:
             class_via_universal(AlgebraSpec(parts))
-        assert time.perf_counter() - start < 1
-        assert str(excinfo.value) == f"mark DP estimate {cost:,} > 10,000,000"
+        assert time.perf_counter() - start < 0.1
+        assert str(excinfo.value) == f"mark DP estimate {sum(parts) ** 3 // 2:,} > 10,000,000"
 
 
 @settings(max_examples=60, deadline=None)
@@ -772,19 +776,18 @@ def _lambda_estimate(parts):
 
 
 def test_lambda_declines_past_its_counting_estimate(monkeypatch):
-    # the estimate is taken before any counting pass, which fails the test
+    # the estimate is taken before any row is built, which fails the test
     def no_pass(*args, **kwargs):
-        raise AssertionError("a counting pass ran")
+        raise AssertionError("a row was built")
 
-    monkeypatch.setattr(cyclic, "_cycle_counts", no_pass)
-    monkeypatch.setattr(cyclic, "invariant_multiset_counts", no_pass)
+    monkeypatch.setattr(torus, "_closed_row", no_pass)
     # one prime field of degree 10^14 + 31: the first power's term, its one
     # cycle times n + 1, is past the bound alone, so divisors, which would
     # trial-divide the part for about a second, is never called; the
     # norm-one class declines it the same way, on two orbits times n
     huge = 100000000000031
     with monkeypatch.context() as patch:
-        patch.setattr(cyclic, "divisors", no_pass)
+        patch.setattr(torus, "divisors", no_pass)
         for route, first in [(class_via_lambda, huge + 1), (norm_one_class, 2 * huge)]:
             start = time.perf_counter()
             with pytest.raises(OutsideDomain) as excinfo:
@@ -820,6 +823,67 @@ def test_lambda_declines_past_its_counting_estimate(monkeypatch):
         with pytest.raises(OutsideDomain) as excinfo:
             class_via_lambda(AlgebraSpec(parts))
         assert str(excinfo.value) == f"counting estimate {cost:,} > {cost - 1:,}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partitions_up_to(70), st.booleans())
+def test_closed_rows_are_the_counting_passes(parts, norm_one):
+    # each row of marks is a closed product; the counting pass over the
+    # cycles of the same power of Frobenius is its oracle.  Up to n = 70
+    # both widths are drawn: rows packed through the kernel when one field
+    # of at most 8 bytes holds n + bit_length(D) + 1 bits, else lists
+    spec = AlgebraSpec(parts)
+    divs, rows, packed = _lambda_rows(spec, norm_one)
+    count = spec.n + (0 if norm_one else 1)
+    assert (packed is not None) == (spec.n + len(divs).bit_length() + 1 <= 64)
+    # the element whose symmetric powers are the class's coefficients
+    x = (CyclicBurnside.ONE if norm_one else CyclicBurnside.ZERO) - spec_class(spec)
+    for d, row in zip(divs, rows):
+        marks = list(_unpack([row], *packed)[0] if packed else row)
+        assert marks == invariant_multiset_counts(x.base_change(d).coeffs, count - 1)
+
+
+@pytest.mark.parametrize(
+    "parts, packed",
+    [((1,) * 62, True), ((61,), True), ((1,) * 63, False), ((62,), False), ((31, 29, 2), False)],
+)
+def test_lambda_at_the_largest_packed_n_agrees_with_rho_and_recursion(parts, packed):
+    # 62 fixed points (D = 1) and a field of degree 61 (D = 2) are the
+    # largest inputs of their kind whose marks fit one 8-byte field through
+    # the Moebius steps; one more point, or degree 62 (D = 4), is unpacked
+    spec = AlgebraSpec(parts)
+    for norm_one in (False, True):
+        assert (_lambda_rows(spec, norm_one)[2] is not None) == packed
+    tc = class_via_lambda(spec)
+    assert tc == class_via_universal(spec) == class_via_recursion(spec)
+    assert _tc(1, {1: 1}, {1: -1}) * norm_one_class(spec) == tc
+
+
+def test_lambda_and_norm_one_run_no_counting_pass():
+    # every row is a closed product, packed or not: no counting pass runs
+    names = _function_names()
+    for parts in [(6, 4, 3, 2, 2), (1,) * 63, (13, 11, 7, 5, 3, 2), (30, 24, 20)]:
+        for route in (class_via_lambda, norm_one_class):
+            entered = {names.get(key) for key in _functions_entered(route, AlgebraSpec(parts))}
+            assert "_closed_row" in entered
+            assert "invariant_multiset_counts" not in entered
+    # the Moebius steps are listed once per divisor list: lambda, then
+    # norm-one, over the 22 partitions of 8, whose orders have 11 lcms
+    _moebius_steps.cache_clear()
+    for route in (class_via_lambda, norm_one_class):
+        for parts in partitions(8):
+            route(AlgebraSpec(parts))
+    assert _moebius_steps.cache_info().misses == 11
+
+
+def test_norm_one_at_n_5000():
+    # one field of degree 5000, 20 rows of up to 5000 cycles, each unpacked
+    # at its own width: L - 1 times the norm-one class is the unit torus's
+    spec = AlgebraSpec((5000,))
+    tc = norm_one_class(spec)
+    digest = hashlib.sha256(json.dumps(tc.to_json()).encode()).hexdigest()
+    assert digest == "2147ffe6d37338fad2a029b0df77ee4f945f4cde82250057d2d6bbeda8c446df"
+    assert _tc(1, {1: 1}, {1: -1}) * tc == class_via_lambda(spec)
 
 
 @pytest.mark.parametrize("t, a", [(1, 400), (2, 200), (5, 80), (6, 40)])
