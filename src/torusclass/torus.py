@@ -59,7 +59,6 @@ pieces, about one per coefficient, that text() and latex() join.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cache, reduce
 from typing import NamedTuple, Sequence
 
@@ -236,7 +235,10 @@ def _pieces(tc: TorusClass, fmt: str) -> list[str]:
 
 def spec_class(spec: AlgebraSpec) -> CyclicBurnside:
     """The zero-dimensional class of Spec L itself: one orbit per factor."""
-    return CyclicBurnside(Counter(spec.parts))
+    counts: dict[int, int] = {}
+    for k in spec.parts:
+        counts[k] = counts.get(k, 0) + 1
+    return CyclicBurnside._trusted(counts)
 
 
 def class_via_lambda(spec: AlgebraSpec) -> TorusClass:
@@ -264,6 +266,9 @@ def _lambda_rows(spec: AlgebraSpec, norm_one: bool) -> tuple[list[int], list, tu
     Moebius steps, which at most double a mark once per prime of L, and
     the rows are handed over packed at that width; otherwise each row is
     built at c + 2 bits, rounded up to bytes, and unpacked at once.
+    Unpacking every row at once, with no packed path, read norm_one_s
+    1.13x and lambda_s 1.07x on the benchmark's single-n10, 1.08x and
+    1.03x on table-n8 (Python 3.11, 2-vCPU shared VM).
 
     The domain is a cost estimate, at most LAMBDA_COST_BOUND: m + 1 times
     the cycles of each power type of x, summed over the divisors.  Its
@@ -271,7 +276,10 @@ def _lambda_rows(spec: AlgebraSpec, norm_one: bool) -> tuple[list[int], list, tu
     the number of divisors before any is listed."""
     bound, count = LAMBDA_COST_BOUND, spec.n + (0 if norm_one else 1)
     # minus the element, by orbit size: each orbit k of it raises the
-    # exponent of 1 - X^(k / g) by g at d, for g = gcd(k, d)
+    # exponent of 1 - X^(k / g) by g at d, for g = gcd(k, d).  This is
+    # spec_class and base_change written out: calling spec_class and a
+    # split shared with base_change instead read norm_one_s 1.06x on the
+    # benchmark's single-n10, one fresh process per input (10 pairs, no win)
     minus: dict[int, int] = {}
     for k in spec.parts:
         minus[k] = minus.get(k, 0) + 1
@@ -361,7 +369,10 @@ RHO_COST_BOUND = 10**7
 # norm-one row that _binomial_power makes by pow, not from its binomials.
 # pow took 0.3x their time at (c, g) = (1, 62) in 504 bytes and about 1x at
 # (30, 8) in 482; past 1 KB the binomials were 1.2-45x faster, from (1, 100)
-# in 1,313 bytes to (1000, 2) in 16,008 (Python 3.11, 2-vCPU shared VM).
+# in 1,313 bytes to (1000, 2) in 16,008.  End to end, building every factor
+# from its binomials, with no pow and no shift and subtract for g = 1, read
+# norm_one_s 1.22x and lambda_s 1.10x on the benchmark's single-n10, 1.17x
+# and 1.09x on table-n8 (Python 3.11, 2-vCPU shared VM).
 LAMBDA_POW_BYTES = 512
 # The most cycles of a shape whose counts _rho_marks packs into integers.
 # Packing took (1,)*64 to 0.6-0.85x of the list of rows, but (1,)*100 to
@@ -594,9 +605,7 @@ def class_via_recursion(spec: AlgebraSpec) -> TorusClass:
     its isotypic blocks F_{q^t}^a, one per distinct degree t.  The units
     of a product are the product of the units: k blocks make k - 1 calls
     of _product besides their powers; the zero algebra is the point's (0, 1, 1)."""
-    blocks: dict[int, int] = {}
-    for t in spec.parts:
-        blocks[t] = blocks.get(t, 0) + 1
+    blocks = spec_class(spec).coeffs
     rank = max((t * a for t, a in blocks.items()), default=0)
     if rank > RECURSION_RANK_BOUND:
         raise OutsideDomain(f"isotypic block rank {rank:,} > {RECURSION_RANK_BOUND:,}")
